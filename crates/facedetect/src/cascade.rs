@@ -74,7 +74,7 @@ impl fmt::Display for CascadeError {
 impl Error for CascadeError {}
 
 /// A trained attentional cascade.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cascade {
     stages: Vec<StrongClassifier>,
     window: usize,
@@ -519,20 +519,10 @@ fn merge_detections(raw: &[Detection], merge_iou: f64, min_support: usize) -> Ve
 mod tests {
     use super::*;
     use sdvbs_synth::{face_scene, FaceBox};
-    use std::sync::OnceLock;
-
-    /// Training is the expensive part; share one cascade across tests.
-    fn cascade() -> &'static Cascade {
-        static CASCADE: OnceLock<Cascade> = OnceLock::new();
-        CASCADE.get_or_init(|| {
-            let mut prof = Profiler::new();
-            Cascade::train(&CascadeConfig::default(), &mut prof).expect("training succeeds")
-        })
-    }
 
     #[test]
     fn cascade_separates_faces_from_clutter() {
-        let c = cascade();
+        let c = Cascade::pretrained();
         let mut rng = StdRng::seed_from_u64(12345);
         let mut face_hits = 0;
         let mut clutter_hits = 0;
@@ -554,7 +544,7 @@ mod tests {
 
     #[test]
     fn finds_planted_faces_in_scene() {
-        let c = cascade();
+        let c = Cascade::pretrained();
         let scene = face_scene(200, 150, 31, 3);
         let mut prof = Profiler::new();
         let found = detect_faces(&scene.image, c, &DetectorConfig::default(), &mut prof);
@@ -581,7 +571,7 @@ mod tests {
 
     #[test]
     fn empty_texture_scene_has_few_detections() {
-        let c = cascade();
+        let c = Cascade::pretrained();
         let img = sdvbs_synth::textured_image(160, 120, 77);
         let mut prof = Profiler::new();
         let found = detect_faces(&img, c, &DetectorConfig::default(), &mut prof);
@@ -656,7 +646,7 @@ mod tests {
 
     #[test]
     fn kernel_attribution() {
-        let c = cascade();
+        let c = Cascade::pretrained();
         let scene = face_scene(120, 100, 5, 1);
         let mut prof = Profiler::new();
         prof.run(|p| detect_faces(&scene.image, c, &DetectorConfig::default(), p));

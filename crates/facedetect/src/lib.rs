@@ -10,23 +10,27 @@
 //! multi-scale sliding window.
 //!
 //! The original SD-VBS code ships a cascade trained offline on a face
-//! corpus that isn't distributed with the paper; this reproduction instead
-//! *trains its own cascade from scratch* with AdaBoost over decision
-//! stumps, on synthetically rendered faces and hard-negative clutter from
-//! [`sdvbs_synth`] — exercising the full training and detection pipeline
-//! end to end (see DESIGN.md §5 for the substitution rationale).
+//! corpus that isn't distributed with the paper. This reproduction trains
+//! its own cascade with AdaBoost over decision stumps, on synthetically
+//! rendered faces and hard-negative clutter from [`sdvbs_synth`], and
+//! ships the result pre-trained just as SD-VBS does: the default cascade
+//! is trained once, offline, by [`Cascade::train`] with
+//! [`CascadeConfig::default`], committed as `models/default.cascade`, and
+//! embedded in the crate as [`Cascade::pretrained`]. Training stays
+//! available for other configurations and the Adaboost kernel (see
+//! DESIGN.md §5 for the substitution rationale).
 //!
 //! # Examples
 //!
-//! ```no_run
-//! use sdvbs_facedetect::{Cascade, CascadeConfig, detect_faces, DetectorConfig};
+//! ```
+//! use sdvbs_facedetect::{Cascade, detect_faces, DetectorConfig};
 //! use sdvbs_profile::Profiler;
 //! use sdvbs_synth::face_scene;
 //!
 //! let mut prof = Profiler::new();
-//! let cascade = Cascade::train(&CascadeConfig::default(), &mut prof).unwrap();
 //! let scene = face_scene(160, 120, 7, 2);
-//! let found = detect_faces(&scene.image, &cascade, &DetectorConfig::default(), &mut prof);
+//! let cascade = Cascade::pretrained();
+//! let found = detect_faces(&scene.image, cascade, &DetectorConfig::default(), &mut prof);
 //! assert!(!found.is_empty());
 //! ```
 

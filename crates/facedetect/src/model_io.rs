@@ -1,18 +1,21 @@
 //! Cascade model serialization.
 //!
-//! SD-VBS ships its Viola–Jones model pre-trained; this module provides
-//! the equivalent workflow for the Rust reproduction — train once, save
-//! the cascade, and load it in later runs without paying training time.
-//! The format is a small, versioned, line-oriented text file (stable
-//! across platforms, diffable, no serialization dependency).
+//! SD-VBS ships its Viola–Jones model pre-trained; so does this
+//! reproduction. The default cascade is trained once, offline, committed
+//! as `models/default.cascade` and embedded in the crate
+//! ([`Cascade::pretrained`]); any other cascade can be saved and loaded
+//! the same way. The format is a small, versioned, line-oriented text
+//! file (stable across platforms, diffable, no serialization dependency).
 
 use crate::boost::{StrongClassifier, Stump};
 use crate::cascade::Cascade;
 use crate::haar::{HaarFeature, HaarKind};
 use std::error::Error;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Errors from cascade model I/O.
 #[derive(Debug)]
@@ -72,23 +75,47 @@ fn kind_from(name: &str) -> Option<HaarKind> {
     })
 }
 
+/// The default cascade, trained offline by
+/// `Cascade::train(&CascadeConfig::default(), ..)` and committed as
+/// `models/default.cascade`; the `export_cascade` example regenerates it.
+const PRETRAINED: &str = include_str!("../models/default.cascade");
+
+/// Upper bound on a stage's stump count; keeps a corrupt count from
+/// driving a huge allocation.
+const MAX_STUMPS: usize = 100_000;
+
 impl Cascade {
-    /// Writes the cascade to a text model file.
+    /// The shipped default cascade — bit-identical to
+    /// `Cascade::train(&CascadeConfig::default(), ..)` — parsed once per
+    /// process from the model embedded in the crate (microseconds, where
+    /// training takes about a second).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the embedded model does not parse, which the crate's
+    /// tests rule out.
+    pub fn pretrained() -> &'static Cascade {
+        static CASCADE: OnceLock<Cascade> = OnceLock::new();
+        CASCADE.get_or_init(|| {
+            Cascade::read_from(PRETRAINED.as_bytes()).expect("embedded default cascade parses")
+        })
+    }
+
+    /// Serializes the cascade in the text model format.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelIoError::Io`] on filesystem failure.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ModelIoError> {
-        let mut f = std::fs::File::create(path)?;
-        writeln!(f, "{MAGIC}")?;
-        writeln!(f, "window {}", self.window())?;
-        writeln!(f, "stages {}", self.stages())?;
+    /// Returns [`ModelIoError::Io`] if the writer fails.
+    pub fn write_to(&self, mut out: impl Write) -> Result<(), ModelIoError> {
+        writeln!(out, "{MAGIC}")?;
+        writeln!(out, "window {}", self.window())?;
+        writeln!(out, "stages {}", self.stages())?;
         for stage in self.stage_slice() {
-            writeln!(f, "stage {} {:.17e}", stage.stumps.len(), stage.threshold)?;
+            writeln!(out, "stage {} {:.17e}", stage.stumps.len(), stage.threshold)?;
             for stump in &stage.stumps {
                 let feat = stage.features[stump.feature];
                 writeln!(
-                    f,
+                    out,
                     "stump {} {} {} {} {} {:.17e} {} {:.17e}",
                     kind_name(feat.kind),
                     feat.x,
@@ -104,16 +131,15 @@ impl Cascade {
         Ok(())
     }
 
-    /// Reads a cascade from a text model file written by [`Cascade::save`].
+    /// Parses a cascade written by [`Cascade::write_to`].
     ///
     /// # Errors
     ///
-    /// * [`ModelIoError::Io`] on filesystem failure.
+    /// * [`ModelIoError::Io`] if the reader fails.
     /// * [`ModelIoError::Malformed`] for syntax errors, wrong magic, or
     ///   inconsistent counts.
-    pub fn load(path: impl AsRef<Path>) -> Result<Cascade, ModelIoError> {
-        let f = std::fs::File::open(path)?;
-        let mut lines = BufReader::new(f).lines();
+    pub fn read_from(input: impl BufRead) -> Result<Cascade, ModelIoError> {
+        let mut lines = input.lines();
         let mut next = |what: &str| -> Result<String, ModelIoError> {
             lines
                 .next()
@@ -140,6 +166,11 @@ impl Cascade {
                 )));
             }
             let n_stumps: usize = parse_tok(parts.next(), "stump count")?;
+            if n_stumps > MAX_STUMPS {
+                return Err(ModelIoError::Malformed(format!(
+                    "stage {s}: implausible stump count {n_stumps}"
+                )));
+            }
             let threshold: f64 = parse_tok(parts.next(), "stage threshold")?;
             let mut stumps = Vec::with_capacity(n_stumps);
             let mut features = Vec::with_capacity(n_stumps);
@@ -186,6 +217,29 @@ impl Cascade {
             });
         }
         Ok(Cascade::from_parts(stages, window))
+    }
+
+    /// Writes the cascade to a text model file (see [`Cascade::write_to`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelIoError::Io`] on filesystem failure.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ModelIoError> {
+        let mut out = BufWriter::new(File::create(path)?);
+        self.write_to(&mut out)?;
+        out.flush()?;
+        Ok(())
+    }
+
+    /// Reads a cascade from a text model file (see [`Cascade::read_from`]).
+    ///
+    /// # Errors
+    ///
+    /// * [`ModelIoError::Io`] on filesystem failure.
+    /// * [`ModelIoError::Malformed`] for syntax errors, wrong magic, or
+    ///   inconsistent counts.
+    pub fn load(path: impl AsRef<Path>) -> Result<Cascade, ModelIoError> {
+        Cascade::read_from(BufReader::new(File::open(path)?))
     }
 }
 
@@ -234,8 +288,7 @@ mod tests {
         cascade.save(&path).unwrap();
         let loaded = Cascade::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.window(), cascade.window());
-        assert_eq!(loaded.stages(), cascade.stages());
+        assert_eq!(loaded, cascade);
         // Identical decisions on fresh patches.
         let mut rng = StdRng::seed_from_u64(4242);
         for _ in 0..60 {
@@ -249,37 +302,56 @@ mod tests {
         }
     }
 
+    fn parse(text: &str) -> Result<Cascade, ModelIoError> {
+        Cascade::read_from(text.as_bytes())
+    }
+
     #[test]
     fn rejects_bad_magic_and_truncation() {
-        let path = tmp("badmagic.txt");
-        std::fs::write(&path, "NOT-A-CASCADE\n").unwrap();
         assert!(matches!(
-            Cascade::load(&path),
+            parse("NOT-A-CASCADE\n"),
             Err(ModelIoError::Malformed(_))
         ));
-        std::fs::write(&path, format!("{MAGIC}\nwindow 24\nstages 2\n")).unwrap();
         assert!(matches!(
-            Cascade::load(&path),
+            parse(&format!("{MAGIC}\nwindow 24\nstages 2\n")),
             Err(ModelIoError::Malformed(_))
         ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn rejects_out_of_window_features() {
-        let path = tmp("badfeat.txt");
-        std::fs::write(
-            &path,
-            format!(
-                "{MAGIC}\nwindow 24\nstages 1\nstage 1 0.0\nstump two_v 20 20 10 10 0.0 1 1.0\n"
-            ),
-        )
-        .unwrap();
         assert!(matches!(
-            Cascade::load(&path),
+            parse(&format!(
+                "{MAGIC}\nwindow 24\nstages 1\nstage 1 0.0\nstump two_v 20 20 10 10 0.0 1 1.0\n"
+            )),
             Err(ModelIoError::Malformed(_))
         ));
-        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rejects_implausible_stump_count() {
+        assert!(matches!(
+            parse(&format!(
+                "{MAGIC}\nwindow 24\nstages 1\nstage {} 0.0\n",
+                usize::MAX
+            )),
+            Err(ModelIoError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn every_line_prefix_of_the_embedded_model_is_malformed() {
+        let mut cut = 0;
+        for line in PRETRAINED.split_inclusive('\n') {
+            let prefix = &PRETRAINED[..cut];
+            assert!(
+                matches!(parse(prefix), Err(ModelIoError::Malformed(_))),
+                "accepted a model cut after {cut} bytes"
+            );
+            cut += line.len();
+        }
+        assert_eq!(cut, PRETRAINED.len());
+        assert!(parse(PRETRAINED).is_ok());
     }
 
     #[test]

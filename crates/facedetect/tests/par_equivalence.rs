@@ -8,22 +8,12 @@
 
 use proptest::prelude::*;
 use sdvbs_exec::ExecPolicy;
-use sdvbs_facedetect::{detect_faces, Cascade, CascadeConfig, DetectorConfig};
+use sdvbs_facedetect::{detect_faces, Cascade, DetectorConfig};
 use sdvbs_profile::Profiler;
 use sdvbs_synth::face_scene;
-use std::sync::OnceLock;
 
 /// The paper's three input sizes: SQCIF, QCIF, CIF.
 const SIZES: [(usize, usize); 3] = [(128, 96), (176, 144), (352, 288)];
-
-/// Training dominates the test cost; share one cascade across all cases.
-fn cascade() -> &'static Cascade {
-    static CASCADE: OnceLock<Cascade> = OnceLock::new();
-    CASCADE.get_or_init(|| {
-        let mut prof = Profiler::new();
-        Cascade::train(&CascadeConfig::default(), &mut prof).expect("training succeeds")
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
@@ -34,11 +24,11 @@ proptest! {
         let scene = face_scene(w, h, seed, 2);
         let base = DetectorConfig::default();
         let mut prof = Profiler::new();
-        let serial = detect_faces(&scene.image, cascade(), &base, &mut prof);
+        let serial = detect_faces(&scene.image, Cascade::pretrained(), &base, &mut prof);
         for n in [1usize, 2, 4] {
             let cfg = DetectorConfig { exec: ExecPolicy::Threads(n), ..base };
             let mut prof = Profiler::new();
-            let par = detect_faces(&scene.image, cascade(), &cfg, &mut prof);
+            let par = detect_faces(&scene.image, Cascade::pretrained(), &cfg, &mut prof);
             prop_assert_eq!(&par, &serial, "threads = {}", n);
             // The scan kernel is still attributed after absorption.
             prop_assert!(
@@ -56,7 +46,7 @@ fn auto_policy_matches_serial_too() {
     let mut prof = Profiler::new();
     let serial = detect_faces(
         &scene.image,
-        cascade(),
+        Cascade::pretrained(),
         &DetectorConfig::default(),
         &mut prof,
     );
@@ -64,6 +54,6 @@ fn auto_policy_matches_serial_too() {
         exec: ExecPolicy::Auto,
         ..DetectorConfig::default()
     };
-    let par = detect_faces(&scene.image, cascade(), &cfg, &mut prof);
+    let par = detect_faces(&scene.image, Cascade::pretrained(), &cfg, &mut prof);
     assert_eq!(par, serial);
 }

@@ -1,8 +1,9 @@
 //! Face detection: the paper's video-surveillance scenario.
 //!
-//! Trains a compact Viola–Jones cascade from scratch on synthetic faces,
-//! scans a rendered scene, and writes an annotated image with detection
-//! boxes.
+//! Trains a compact Viola–Jones cascade from scratch on synthetic faces
+//! (the Adaboost kernel), checks it against the pre-trained model the
+//! library ships, scans a rendered scene, and writes an annotated image
+//! with detection boxes.
 //!
 //! ```text
 //! cargo run --release --example find_faces
@@ -20,7 +21,11 @@ fn main() {
     let cascade = prof
         .run(|p| Cascade::train(&CascadeConfig::default(), p))
         .expect("default training configuration succeeds");
-    println!("trained {} stages\n", cascade.stages());
+    println!("trained {} stages", cascade.stages());
+    println!(
+        "identical to the shipped pre-trained model: {}\n",
+        cascade == *Cascade::pretrained()
+    );
 
     let scene = face_scene(352, 288, 11, 4);
     let mut detect_prof = Profiler::new();
