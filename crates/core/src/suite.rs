@@ -27,25 +27,29 @@ pub trait Benchmark {
     /// Static metadata (Tables I/II rows and the kernel list).
     fn info(&self) -> &BenchmarkInfo;
 
-    /// Runs the benchmark at `size` with the input-generation seed `seed`.
+    /// Runs the benchmark at `size` with the input-generation seed `seed`,
+    /// its data-parallel kernels under `policy` (benchmarks without a
+    /// parallel mode ignore it; every policy gives bit-identical outcomes).
     ///
     /// Implementations call [`Profiler::run`] around the *pipeline only*:
     /// synthetic input generation is excluded from the measured region,
     /// just as SD-VBS reads its input files before timing. Callers read
-    /// the measured time from `prof.total()` — do not wrap this call in
-    /// another `prof.run`.
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome;
+    /// the measured time from `prof.total()`, and should resolve
+    /// [`ExecPolicy::Auto`] once per run (see [`ExecPolicy::resolve`]) if
+    /// they record the policy. Degenerate or corrupted inputs (e.g. NaN
+    /// pixels armed via [`crate::set_poison`]) surface as a typed
+    /// [`crate::SdvbsError`] instead of a panic.
+    fn try_run_with(
+        &self,
+        size: InputSize,
+        seed: u64,
+        policy: ExecPolicy,
+        prof: &mut Profiler,
+    ) -> SdvbsResult<RunOutcome>;
 
-    /// Runs the benchmark with its data-parallel kernels under `policy`.
-    ///
-    /// Benchmarks that plumb an [`ExecPolicy`] through their configuration
-    /// (disparity's shift search, segmentation's affinity build, face
-    /// detection's cascade scan) override this; the default ignores the
-    /// policy and runs serially, which is every other benchmark's only
-    /// mode. All policies produce bit-identical outcomes, so `policy` only
-    /// affects timing. Callers that record the policy should resolve
-    /// [`ExecPolicy::Auto`] once per run (see [`ExecPolicy::resolve`]) so
-    /// records stay consistent.
+    /// [`Benchmark::try_run_with`] under the infallible contract: a typed
+    /// error becomes a zero-quality outcome whose detail names the
+    /// failure.
     fn run_with(
         &self,
         size: InputSize,
@@ -53,25 +57,16 @@ pub trait Benchmark {
         policy: ExecPolicy,
         prof: &mut Profiler,
     ) -> RunOutcome {
-        let _ = policy;
-        self.run(size, seed, prof)
+        self.try_run_with(size, seed, policy, prof)
+            .unwrap_or_else(|e| RunOutcome {
+                quality: Some(0.0),
+                detail: format!("failed: {e}"),
+            })
     }
 
-    /// Runs the benchmark fallibly: degenerate or corrupted inputs (for
-    /// example NaN pixels armed via [`crate::set_poison`]) surface as a
-    /// typed [`crate::SdvbsError`] instead of a panic, so a harness can
-    /// record a failed cell as an outcome rather than aborting the
-    /// process. The suite's nine implementations all override this; the
-    /// default delegates to the infallible [`Benchmark::run_with`] for
-    /// third-party implementations that predate the fallible path.
-    fn try_run_with(
-        &self,
-        size: InputSize,
-        seed: u64,
-        policy: ExecPolicy,
-        prof: &mut Profiler,
-    ) -> SdvbsResult<RunOutcome> {
-        Ok(self.run_with(size, seed, policy, prof))
+    /// [`Benchmark::run_with`] under [`ExecPolicy::Serial`].
+    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
+        self.run_with(size, seed, ExecPolicy::Serial, prof)
     }
 
     /// One-time preparation excluded from timed runs (e.g. face detection
@@ -113,20 +108,6 @@ impl Benchmark for DisparityBench {
         &DISPARITY_INFO
     }
 
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        self.run_with(size, seed, ExecPolicy::Serial, prof)
-    }
-
-    fn run_with(
-        &self,
-        size: InputSize,
-        seed: u64,
-        policy: ExecPolicy,
-        prof: &mut Profiler,
-    ) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, policy, prof))
-    }
-
     fn try_run_with(
         &self,
         size: InputSize,
@@ -152,16 +133,6 @@ impl Benchmark for DisparityBench {
     }
 }
 
-/// Maps a fallible run into the infallible [`RunOutcome`] contract: a
-/// typed error becomes a zero-quality outcome whose detail names the
-/// failure.
-fn outcome_or_failure(result: SdvbsResult<RunOutcome>) -> RunOutcome {
-    result.unwrap_or_else(|e| RunOutcome {
-        quality: Some(0.0),
-        detail: format!("failed: {e}"),
-    })
-}
-
 // ----------------------------------------------------------------- tracking
 
 struct TrackingBench;
@@ -184,10 +155,6 @@ static TRACKING_INFO: BenchmarkInfo = BenchmarkInfo {
 impl Benchmark for TrackingBench {
     fn info(&self) -> &BenchmarkInfo {
         &TRACKING_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
     }
 
     fn try_run_with(
@@ -250,20 +217,6 @@ impl Benchmark for SegmentationBench {
         &SEGMENTATION_INFO
     }
 
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        self.run_with(size, seed, ExecPolicy::Serial, prof)
-    }
-
-    fn run_with(
-        &self,
-        size: InputSize,
-        seed: u64,
-        policy: ExecPolicy,
-        prof: &mut Profiler,
-    ) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, policy, prof))
-    }
-
     fn try_run_with(
         &self,
         size: InputSize,
@@ -308,10 +261,6 @@ impl Benchmark for SiftBench {
         &SIFT_INFO
     }
 
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
-    }
-
     fn try_run_with(
         &self,
         size: InputSize,
@@ -347,10 +296,6 @@ static LOCALIZATION_INFO: BenchmarkInfo = BenchmarkInfo {
 impl Benchmark for LocalizationBench {
     fn info(&self) -> &BenchmarkInfo {
         &LOCALIZATION_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
     }
 
     fn try_run_with(
@@ -421,10 +366,6 @@ impl Benchmark for SvmBench {
         &SVM_INFO
     }
 
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
-    }
-
     fn try_run_with(
         &self,
         size: InputSize,
@@ -478,20 +419,6 @@ impl Benchmark for FaceDetectBench {
 
     fn warmup(&self) {
         let _ = sdvbs_facedetect::Cascade::pretrained();
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        self.run_with(size, seed, ExecPolicy::Serial, prof)
-    }
-
-    fn run_with(
-        &self,
-        size: InputSize,
-        seed: u64,
-        policy: ExecPolicy,
-        prof: &mut Profiler,
-    ) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, policy, prof))
     }
 
     fn try_run_with(
@@ -567,10 +494,6 @@ impl Benchmark for StitchBench {
         &STITCH_INFO
     }
 
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
-    }
-
     fn try_run_with(
         &self,
         size: InputSize,
@@ -613,10 +536,6 @@ static TEXTURE_INFO: BenchmarkInfo = BenchmarkInfo {
 impl Benchmark for TextureBench {
     fn info(&self) -> &BenchmarkInfo {
         &TEXTURE_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
     }
 
     fn try_run_with(

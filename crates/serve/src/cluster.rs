@@ -18,6 +18,16 @@
 //! every dead worker. Heartbeat staleness is ignored once a drain starts:
 //! a worker blocked finishing its queue legitimately stops answering.
 //!
+//! Every one of those decisions — admission, coalescing, the DRR dispatch
+//! window, shard choice, reply handling, orphan fate, drain — is made by
+//! the sans-IO [`Coordinator`] state machine in [`crate::coord`], the
+//! same code the `sdvbs-sim` simulator runs under virtual time.
+//! [`ClusterEngine`] runs it over real I/O: it holds the state machine
+//! under a mutex, runs the link readers, the heartbeat monitor and the
+//! dispatcher as threads, speaks the wire protocol, owns the result cache
+//! above the state machine, and counts what each transition reports in
+//! its metrics.
+//!
 //! Metrics and traces aggregate on demand: `/metrics` renders the
 //! coordinator's own registry plus each worker's, both folded into the
 //! cluster totals and re-exported under a `w<N>_` prefix; `/v1/trace`
@@ -27,10 +37,9 @@
 
 use crate::backend::Backend;
 use crate::cache::{cache_preimage, spec_digest, CacheLookup, ResultCache, DEFAULT_CACHE_CAPACITY};
-use crate::coalesce::InflightMap;
-use crate::engine::{group_key, JobSnapshot, Submission};
-use crate::protocol::{self, OrphanDisposition, RetryPolicy};
-use crate::sched::{Drr, JobClass, SchedConfig};
+use crate::coord::{is_stale, CoordJob, Coordinator, JobState, OrphanDisposition, Step};
+use crate::engine::{wait_terminal, JobSnapshot, Submission};
+use crate::sched::{JobClass, SchedConfig};
 use crate::shutdown::DrainReport;
 use sdvbs_exec::ClockHandle;
 use sdvbs_runner::{Job, RunRecord};
@@ -38,7 +47,6 @@ use sdvbs_trace::{
     merge_process_traces, now_us, MetricsRegistry, ProcessTrace, TraceEvent, TrackId,
 };
 use sdvbs_wire::{tcp_pair, FrameRx, FrameTx, Message, WireError, PROTO_VERSION};
-use std::collections::{HashSet, VecDeque};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
@@ -74,7 +82,7 @@ pub struct ClusterConfig {
     pub liveness: Duration,
     /// Retries a job gets beyond its first execution before it is
     /// quarantined (same accounting as the runner's `max_retries`; see
-    /// [`crate::protocol::RetryPolicy`]). One worker death costs one
+    /// [`crate::coord::RetryPolicy`]). One worker death costs one
     /// attempt; a `Busy` bounce costs none.
     pub retry_budget: u32,
     /// Time source for heartbeat pacing and staleness measurement. The
@@ -103,47 +111,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Where a cluster job is in its lifecycle.
-enum CJobState {
-    /// Admitted, waiting for the dispatcher.
-    Pending,
-    /// Dispatched to worker `i`, awaiting its result.
-    Dispatched(usize),
-    /// Finished with a record.
-    Done(Box<RunRecord>),
-    /// Refused without a result (drain, or a worker-side validation
-    /// error).
-    Rejected(String),
-    /// Abandoned after exhausting the retry budget across worker deaths.
-    Quarantined(String),
-}
-
-struct CJob {
-    spec: Job,
-    digest: u64,
-    /// The canonical cache preimage, verified on every cache hit.
-    key: String,
-    /// The benchmark×size scheduling group.
-    group: String,
-    class: JobClass,
-    state: CJobState,
-    attempts: u32,
-}
-
-struct ClusterState {
-    jobs: Vec<CJob>,
-    inflight: InflightMap,
-    /// Admitted-not-dispatched jobs, scheduled by deficit round robin
-    /// across QoS classes with benchmark×size batching.
-    pending: Drr,
-    /// The batch the dispatcher is currently working through (popped from
-    /// `pending`; drain rejects these too).
-    current: VecDeque<u64>,
-    outstanding: usize,
-    draining: bool,
-    dead: Vec<String>,
-}
-
 /// One connected worker process.
 struct WorkerLink {
     index: usize,
@@ -151,33 +118,23 @@ struct WorkerLink {
     /// The sending half of the link; internally serialized, shared by
     /// the dispatcher, heartbeat, and rpc paths.
     tx: Box<dyn FrameTx>,
-    alive: AtomicBool,
     /// [`ClockHandle::now`] of the last heartbeat reply.
     last_beat: Mutex<Duration>,
     /// `coordinator_now_us - worker_now_us`, refreshed on every heartbeat
     /// reply; aligns the worker's trace epoch onto ours.
     offset_us: AtomicI64,
-    /// Jobs dispatched to this worker and not yet resolved.
-    dispatched: Mutex<HashSet<u64>>,
     /// Serializes metrics/trace/drain request-reply exchanges.
     rpc: Mutex<()>,
     replies: Mutex<mpsc::Receiver<Message>>,
     reply_tx: mpsc::Sender<Message>,
 }
 
-impl WorkerLink {
-    fn inflight_len(&self) -> usize {
-        self.dispatched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-}
-
 /// The coordinator backend. Construct with [`ClusterEngine::start`];
 /// always behind an [`Arc`] because its service threads hold references.
 pub struct ClusterEngine {
-    state: Mutex<ClusterState>,
+    /// The job lifecycle; every transition happens under this lock.
+    core: Mutex<Coordinator>,
+    /// Notified on every transition a waiter might care about.
     changed: Condvar,
     cache: ResultCache,
     metrics: Mutex<MetricsRegistry>,
@@ -211,15 +168,7 @@ impl ClusterEngine {
             readers.push(rx);
         }
         let engine = Arc::new(ClusterEngine {
-            state: Mutex::new(ClusterState {
-                jobs: Vec::new(),
-                inflight: InflightMap::new(),
-                pending: Drr::new(cfg.sched.clone()),
-                current: VecDeque::new(),
-                outstanding: 0,
-                draining: false,
-                dead: Vec::new(),
-            }),
+            core: Mutex::new(Coordinator::new(links.len(), &cfg)),
             changed: Condvar::new(),
             cache: ResultCache::with_capacity(cfg.cache_capacity),
             metrics: Mutex::new(MetricsRegistry::new()),
@@ -239,22 +188,17 @@ impl ClusterEngine {
                     .expect("spawning a link reader"),
             );
         }
-        {
+        let dispatch: fn(&ClusterEngine) = ClusterEngine::dispatch_loop;
+        for (name, service) in [
+            ("dispatch", dispatch),
+            ("heartbeat", ClusterEngine::heartbeat_loop),
+        ] {
             let engine2 = Arc::clone(&engine);
             handles.push(
                 thread::Builder::new()
-                    .name("sdvbs-coord-dispatch".to_string())
-                    .spawn(move || engine2.dispatch_loop())
-                    .expect("spawning the dispatcher"),
-            );
-        }
-        {
-            let engine2 = Arc::clone(&engine);
-            handles.push(
-                thread::Builder::new()
-                    .name("sdvbs-coord-heartbeat".to_string())
-                    .spawn(move || engine2.heartbeat_loop())
-                    .expect("spawning the heartbeat monitor"),
+                    .name(format!("sdvbs-coord-{name}"))
+                    .spawn(move || service(&engine2))
+                    .expect("spawning a coordinator service thread"),
             );
         }
         *engine
@@ -266,120 +210,108 @@ impl ClusterEngine {
 
     /// Worker names still answering, in index order.
     pub fn alive_workers(&self) -> Vec<String> {
+        let core = self.lock_core();
         self.links
             .iter()
-            .filter(|l| l.alive.load(Ordering::SeqCst))
+            .filter(|l| core.is_alive(l.index))
             .map(|l| l.name.clone())
             .collect()
     }
 
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, ClusterState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_core(&self) -> std::sync::MutexGuard<'_, Coordinator> {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn is_alive(&self, w: usize) -> bool {
+        self.lock_core().is_alive(w)
+    }
+
+    fn lock_metrics(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn incr(&self, name: &str) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .incr(name, 1);
+        self.lock_metrics().incr(name, 1);
     }
 
     fn observe(&self, name: &str, value: f64) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .observe(name, value);
-    }
-
-    /// Picks the target worker for a job via the shared protocol policy
-    /// ([`protocol::pick_target`]): home shard when alive with headroom,
-    /// else least-loaded live worker. `None` when no live worker has
-    /// headroom.
-    fn pick_worker(&self, digest: u64) -> Option<usize> {
-        let alive: Vec<bool> = self
-            .links
-            .iter()
-            .map(|l| l.alive.load(Ordering::SeqCst))
-            .collect();
-        let inflight: Vec<usize> = self.links.iter().map(|l| l.inflight_len()).collect();
-        protocol::pick_target(digest, &alive, &inflight, self.cfg.per_worker_inflight)
+        self.lock_metrics().observe(name, value);
     }
 
     fn dispatch_loop(&self) {
         loop {
-            // Take the next pending job, or learn that we are done.
-            let (id, spec, w) = {
-                let mut st = self.lock_state();
+            // Step the state machine until it hands us a dispatch, or
+            // learn that we are done.
+            let (id, worker, spec) = {
+                let mut core = self.lock_core();
                 loop {
-                    // Refill the dispatch window from the scheduler: one
-                    // DRR batch at a time, dispatched id by id below.
-                    if st.current.is_empty() {
-                        if let Some(batch) = st.pending.pop_batch() {
-                            self.observe("batch_size", batch.ids.len() as f64);
-                            st.current.extend(batch.ids);
-                        }
-                    }
-                    if let Some(&id) = st.current.front() {
-                        if self.links.iter().all(|l| !l.alive.load(Ordering::SeqCst)) {
-                            // Nothing left to run on: every admitted job
-                            // fails loudly rather than waiting forever.
-                            st.current.pop_front();
-                            self.fail_job(
-                                &mut st,
-                                id,
-                                CJobState::Quarantined("no live workers".into()),
-                            );
-                            self.incr("jobs_quarantined");
-                            continue;
-                        }
-                        if let Some(w) = self.pick_worker(st.jobs[id as usize].digest) {
-                            st.current.pop_front();
-                            let job = &mut st.jobs[id as usize];
-                            job.state = CJobState::Dispatched(w);
-                            job.attempts += 1;
-                            let home = (job.digest % self.links.len() as u64) as usize;
-                            if w != home {
+                    match core.next_dispatch() {
+                        Step::Dispatch {
+                            id,
+                            worker,
+                            spec,
+                            stolen,
+                            ..
+                        } => {
+                            if stolen {
                                 self.incr("jobs_stolen");
                             }
-                            self.links[w]
-                                .dispatched
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .insert(id);
-                            break (id, job.spec.clone(), w);
+                            break (id, worker, spec);
                         }
-                        // All live workers are at their in-flight cap: a
-                        // completion or death frees a slot and notifies.
-                        let (guard, _) = self
-                            .changed
-                            .wait_timeout(st, Duration::from_millis(50))
-                            .unwrap_or_else(PoisonError::into_inner);
-                        st = guard;
-                        continue;
+                        Step::Batch(len) => self.observe("batch_size", len as f64),
+                        Step::NoWorkers(_) => {
+                            self.incr("jobs_quarantined");
+                            self.changed.notify_all();
+                        }
+                        Step::Full => {
+                            // A completion or death frees a slot and
+                            // notifies.
+                            core = self
+                                .changed
+                                .wait_timeout(core, Duration::from_millis(50))
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .0;
+                        }
+                        Step::Idle => {
+                            if self.stopping.load(Ordering::SeqCst) {
+                                return;
+                            }
+                            core = self
+                                .changed
+                                .wait(core)
+                                .unwrap_or_else(PoisonError::into_inner);
+                        }
                     }
-                    if self.stopping.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    st = self
-                        .changed
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let link = &self.links[w];
-            if link.tx.send(&Message::Dispatch { id, spec }).is_err() {
-                self.mark_dead(w, "dispatch write failed");
+            if self.links[worker]
+                .tx
+                .send(&Message::Dispatch { id, spec })
+                .is_err()
+            {
+                self.mark_dead(worker, "dispatch write failed");
             }
         }
     }
 
     /// One link's read loop: results, heartbeat replies, and rpc replies.
     fn reader_loop(&self, link: &Arc<WorkerLink>, rx: &mut dyn FrameRx) {
+        let w = link.index;
         loop {
             match rx.recv() {
-                Ok(Message::Done { id, record }) => self.job_done(link, id, *record),
-                Ok(Message::Rejected { id, detail }) => self.job_rejected(link, id, &detail),
-                Ok(Message::Busy { id }) => self.job_busy(link, id),
+                Ok(Message::Done { id, record }) => self.job_done(w, id, *record),
+                Ok(Message::Rejected { id, detail }) => {
+                    if self.lock_core().on_rejected(w, id, &detail) {
+                        self.incr("jobs_invalid");
+                    }
+                    self.changed.notify_all();
+                }
+                Ok(Message::Busy { id }) => {
+                    if self.lock_core().on_busy(w, id) {
+                        self.incr("busy_redispatched");
+                    }
+                    self.changed.notify_all();
+                }
                 Ok(Message::HeartbeatOk { now_us: theirs, .. }) => {
                     *link
                         .last_beat
@@ -401,157 +333,62 @@ impl ClusterEngine {
                 Ok(_) => {} // Not a worker-to-coordinator message; ignore.
                 Err(WireError::Closed) if self.stopping.load(Ordering::SeqCst) => return,
                 Err(e) => {
-                    self.mark_dead(link.index, &e.to_string());
+                    self.mark_dead(w, &e.to_string());
                     return;
                 }
             }
         }
     }
 
-    /// Declares worker `w` dead and requeues (or quarantines) everything
-    /// it had in flight. Idempotent; a no-op during shutdown teardown.
+    /// Declares worker `w` dead and counts what became of everything it
+    /// had in flight. Idempotent; during shutdown teardown it only takes
+    /// the worker out of service.
     fn mark_dead(&self, w: usize, why: &str) {
-        let link = &self.links[w];
-        if !link.alive.swap(false, Ordering::SeqCst) {
-            return;
-        }
+        let mut core = self.lock_core();
         if self.stopping.load(Ordering::SeqCst) {
+            core.retire(w);
             return;
         }
-        eprintln!("worker {} declared dead: {why}", link.name);
+        let Some(orphans) = core.mark_dead(w) else {
+            return;
+        };
+        drop(core);
+        eprintln!("worker {} declared dead: {why}", self.links[w].name);
         self.incr("workers_died");
-        let orphans: Vec<u64> = link
-            .dispatched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain()
-            .collect();
-        let mut st = self.lock_state();
-        st.dead.push(link.name.clone());
-        let policy = RetryPolicy {
-            budget: self.cfg.retry_budget,
-        };
-        for id in orphans {
-            let Some(job) = st.jobs.get(id as usize) else {
-                continue;
-            };
-            if !matches!(job.state, CJobState::Dispatched(d) if d == w) {
-                continue;
-            }
-            // Every execution of this job so far has failed (the last one
-            // just died with its worker), so `attempts` *is* the
-            // failed-execution count the shared policy judges.
-            let attempts = job.attempts;
-            match protocol::orphan_disposition(attempts, policy, st.draining) {
-                OrphanDisposition::Quarantine => {
-                    let detail = format!(
-                        "quarantined after {attempts} attempts; worker {} died mid-run",
-                        link.name
-                    );
-                    self.fail_job(&mut st, id, CJobState::Quarantined(detail));
-                    self.incr("jobs_quarantined");
-                }
-                OrphanDisposition::RejectDraining => {
-                    // The drain contract only finishes work that is
-                    // actually running; an orphan re-entering the queue
-                    // mid-drain is rejected like any other queued job.
-                    let detail = format!("worker {} died during drain", link.name);
-                    self.fail_job(&mut st, id, CJobState::Rejected(detail));
-                    self.incr("rejected_draining");
-                }
-                OrphanDisposition::Requeue => {
-                    // An orphan must not lose its place to later arrivals:
-                    // it goes to the front of the current dispatch window.
-                    st.jobs[id as usize].state = CJobState::Pending;
-                    st.current.push_front(id);
-                    self.incr("jobs_requeued");
-                }
-            }
+        for (_, fate) in orphans {
+            self.incr(match fate {
+                OrphanDisposition::Quarantine => "jobs_quarantined",
+                OrphanDisposition::RejectDraining => "rejected_draining",
+                OrphanDisposition::Requeue => "jobs_requeued",
+            });
         }
         self.changed.notify_all();
     }
 
-    /// Moves job `id` to a terminal failure state and releases its
-    /// coalescing claim. Caller holds the state lock.
-    fn fail_job(&self, st: &mut ClusterState, id: u64, terminal: CJobState) {
-        let job = &mut st.jobs[id as usize];
-        job.state = terminal;
-        let digest = job.digest;
-        st.inflight.release(digest, id);
-        st.outstanding = st.outstanding.saturating_sub(1);
-        self.changed.notify_all();
-    }
-
-    fn job_done(&self, link: &Arc<WorkerLink>, id: u64, record: RunRecord) {
-        link.dispatched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&id);
-        let mut st = self.lock_state();
-        let Some(job) = st.jobs.get_mut(id as usize) else {
-            return;
+    fn job_done(&self, w: usize, id: u64, record: RunRecord) {
+        let wall_ms = record.wall_ms;
+        let mut core = self.lock_core();
+        let Some(CoordJob {
+            spec,
+            digest,
+            state: JobState::Done(record),
+            ..
+        }) = core.on_done(w, id, record)
+        else {
+            return; // A late reply: nothing changed.
         };
-        if !matches!(job.state, CJobState::Dispatched(_)) {
-            return;
-        }
-        let outcome = self.cache.put(job.digest, &job.key, &record);
+        // Cached under the core lock, so an identical submission finds
+        // either the in-flight job or its record, never neither.
+        let outcome = self.cache.put(*digest, &cache_preimage(spec), record);
+        drop(core);
         if outcome.evicted {
             self.incr("cache_evictions");
         }
         if outcome.collided {
             self.incr("cache_key_collisions");
         }
-        self.observe("job_exec_ms", record.wall_ms);
-        job.state = CJobState::Done(Box::new(record));
-        let digest = job.digest;
-        st.inflight.release(digest, id);
-        st.outstanding = st.outstanding.saturating_sub(1);
-        drop(st);
+        self.observe("job_exec_ms", wall_ms);
         self.incr("jobs_executed");
-        self.changed.notify_all();
-    }
-
-    fn job_rejected(&self, link: &Arc<WorkerLink>, id: u64, detail: &str) {
-        link.dispatched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&id);
-        let mut st = self.lock_state();
-        if !matches!(
-            st.jobs.get(id as usize).map(|j| &j.state),
-            Some(CJobState::Dispatched(_))
-        ) {
-            return;
-        }
-        self.fail_job(&mut st, id, CJobState::Rejected(detail.to_string()));
-        drop(st);
-        self.incr("jobs_invalid");
-    }
-
-    /// The worker's queue was full: put the job back for the dispatcher,
-    /// which will steal it to a less loaded shard. The bounced dispatch
-    /// never executed, so it gives back the attempt it charged — `Busy`
-    /// must not consume retry budget (attempts counts executions begun,
-    /// the unified accounting in [`crate::protocol`]).
-    fn job_busy(&self, link: &Arc<WorkerLink>, id: u64) {
-        link.dispatched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&id);
-        let mut st = self.lock_state();
-        if !matches!(
-            st.jobs.get(id as usize).map(|j| &j.state),
-            Some(CJobState::Dispatched(_))
-        ) {
-            return;
-        }
-        let job = &mut st.jobs[id as usize];
-        job.state = CJobState::Pending;
-        job.attempts = job.attempts.saturating_sub(1);
-        let (group, class) = (job.group.clone(), job.class);
-        st.pending.push_back(id, &group, class);
-        drop(st);
-        self.incr("busy_redispatched");
         self.changed.notify_all();
     }
 
@@ -559,26 +396,23 @@ impl ClusterEngine {
         let mut seq = 0u64;
         while !self.stopping.load(Ordering::SeqCst) {
             seq += 1;
-            let draining = self.lock_state().draining;
+            let draining = self.lock_core().is_draining();
             for (w, link) in self.links.iter().enumerate() {
-                if !link.alive.load(Ordering::SeqCst) {
+                if !self.is_alive(w) {
                     continue;
                 }
                 if link.tx.send(&Message::Heartbeat { seq }).is_err() {
                     self.mark_dead(w, "heartbeat write failed");
                     continue;
                 }
-                // Staleness is judged by the shared protocol policy: a
-                // draining worker is allowed to go quiet (its read loop
-                // is blocked finishing the queue); I/O errors still kill.
-                let age = {
-                    let beat = *link
-                        .last_beat
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    self.cfg.clock.since(beat)
-                };
-                if protocol::is_stale(age, self.cfg.liveness, draining) {
+                // Staleness is judged by the shared policy: a draining
+                // worker is allowed to go quiet (its read loop is blocked
+                // finishing the queue); I/O errors still kill.
+                let beat = *link
+                    .last_beat
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                if is_stale(self.cfg.clock.since(beat), self.cfg.liveness, draining) {
                     self.mark_dead(w, "missed heartbeats");
                 }
             }
@@ -611,92 +445,49 @@ impl ClusterEngine {
 impl Backend for ClusterEngine {
     fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
         let digest = spec_digest(&spec);
-        let key = cache_preimage(&spec);
-        let mut st = self.lock_state();
-        if st.draining {
-            self.incr("rejected_draining");
-            return Submission::Draining;
-        }
-        if !fresh {
+        let key = (!fresh).then(|| cache_preimage(&spec));
+        let mut core = self.lock_core();
+        if let Some(key) = key.filter(|_| !core.is_draining()) {
             match self.cache.get(digest, &key) {
                 CacheLookup::Hit(record) => {
                     self.incr("cache_hits");
                     return Submission::Cached(record);
                 }
-                CacheLookup::Collision => {
-                    self.incr("cache_key_collisions");
-                }
+                CacheLookup::Collision => self.incr("cache_key_collisions"),
                 CacheLookup::Miss => {}
             }
-            if let Some(id) = st.inflight.get(digest) {
-                self.incr("coalesced");
-                return Submission::Coalesced(id);
+        }
+        let outcome = core.admit(spec, digest, class, fresh);
+        drop(core);
+        match outcome {
+            Submission::Draining => self.incr("rejected_draining"),
+            Submission::Coalesced(_) => self.incr("coalesced"),
+            Submission::QueueFull => self.incr("rejected_queue_full"),
+            Submission::Queued(_) => {
+                self.incr("jobs_submitted");
+                self.incr(&format!("submitted_{}", class.label()));
+                self.changed.notify_all();
             }
+            Submission::Cached(_) => {}
         }
-        if st.outstanding >= self.cfg.queue_capacity.max(1) {
-            self.incr("rejected_queue_full");
-            return Submission::QueueFull;
-        }
-        let id = st.jobs.len() as u64;
-        let group = group_key(&spec);
-        st.jobs.push(CJob {
-            spec,
-            digest,
-            key,
-            group: group.clone(),
-            class,
-            state: CJobState::Pending,
-            attempts: 0,
-        });
-        st.inflight.claim(digest, id);
-        st.pending.push_back(id, &group, class);
-        st.outstanding += 1;
-        drop(st);
-        self.incr("jobs_submitted");
-        self.incr(&format!("submitted_{}", class.label()));
-        self.changed.notify_all();
-        Submission::Queued(id)
+        outcome
     }
 
     fn get(&self, id: u64) -> Option<JobSnapshot> {
-        let st = self.lock_state();
-        st.jobs.get(id as usize).map(|job| snapshot(id, job))
+        self.lock_core().snapshot(id)
     }
 
     fn wait_terminal(&self, id: u64, wait: Duration) -> Option<JobSnapshot> {
-        let deadline = Instant::now() + wait;
-        let mut st = self.lock_state();
-        loop {
-            let snap = st.jobs.get(id as usize).map(|job| snapshot(id, job))?;
-            if snap.is_terminal() {
-                return Some(snap);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(snap);
-            }
-            let (guard, _) = self
-                .changed
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        }
+        wait_terminal(&self.changed, self.lock_core(), wait, |core| {
+            core.snapshot(id)
+        })
     }
 
     fn begin_drain(&self) {
-        let mut st = self.lock_state();
-        st.draining = true;
-        // Reject everything admitted but not yet dispatched — the cluster
-        // analog of the engine popping and rejecting its queue. The
-        // current dispatch window counts as undispatched too.
-        let mut pending: Vec<u64> = st.current.drain(..).collect();
-        pending.extend(st.pending.drain_all());
-        for id in pending {
-            self.fail_job(
-                &mut st,
-                id,
-                CJobState::Rejected("server shutting down before execution".into()),
-            );
+        // Everything admitted but not yet dispatched is rejected — the
+        // cluster analog of the engine popping and rejecting its queue.
+        let rejected = self.lock_core().begin_drain();
+        for _ in rejected {
             self.incr("rejected_draining");
         }
         self.changed.notify_all();
@@ -706,45 +497,25 @@ impl Backend for ClusterEngine {
         self.begin_drain();
         // Wait for every dispatched job to resolve (a worker death mid-
         // drain resolves its orphans via `mark_dead`).
-        let mut st = self.lock_state();
-        while st
-            .jobs
-            .iter()
-            .any(|j| matches!(j.state, CJobState::Pending | CJobState::Dispatched(_)))
-        {
-            st = self
-                .changed
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        let report = DrainReport {
-            completed: st
-                .jobs
-                .iter()
-                .filter(|j| matches!(j.state, CJobState::Done(_)))
-                .count(),
-            rejected: st
-                .jobs
-                .iter()
-                .filter(|j| matches!(j.state, CJobState::Rejected(_)))
-                .count(),
-            quarantined: st
-                .jobs
-                .iter()
-                .filter(|j| matches!(j.state, CJobState::Quarantined(_)))
-                .count(),
-            dead_workers: st.dead.clone(),
+        let report = {
+            let mut core = self.lock_core();
+            while !core.quiescent() {
+                core = self
+                    .changed
+                    .wait(core)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            core.drain_report()
         };
-        drop(st);
         // Tear the cluster down: tell each surviving worker to drain and
         // exit. From here on link closure is shutdown, not death.
         self.stopping.store(true, Ordering::SeqCst);
         for link in &self.links {
-            if !link.alive.load(Ordering::SeqCst) {
+            if !self.is_alive(link.index) {
                 continue;
             }
             let _ = self.rpc(link, Message::Drain, "drain_ok");
-            link.alive.store(false, Ordering::SeqCst);
+            self.lock_core().retire(link.index);
         }
         self.changed.notify_all();
         let handles: Vec<_> = self
@@ -760,14 +531,14 @@ impl Backend for ClusterEngine {
     }
 
     fn is_draining(&self) -> bool {
-        self.lock_state().draining
+        self.lock_core().is_draining()
     }
 
     fn metrics_text(&self) -> String {
         let mut agg = MetricsRegistry::new();
-        agg.merge(&self.metrics.lock().unwrap_or_else(PoisonError::into_inner));
+        agg.merge(&self.lock_metrics());
         for link in &self.links {
-            if !link.alive.load(Ordering::SeqCst) {
+            if !self.is_alive(link.index) {
                 continue;
             }
             let Some(Message::MetricsOk { registry }) =
@@ -791,23 +562,17 @@ impl Backend for ClusterEngine {
     }
 
     fn merge_metrics(&self, other: &MetricsRegistry) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(other);
+        self.lock_metrics().merge(other);
     }
 
     fn counter(&self, name: &str) -> u64 {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .counter(name)
+        self.lock_metrics().counter(name)
     }
 
     fn trace_events(&self) -> Vec<TraceEvent> {
         let mut parts = Vec::new();
         for link in &self.links {
-            if !link.alive.load(Ordering::SeqCst) {
+            if !self.is_alive(link.index) {
                 continue;
             }
             let Some(Message::TraceOk {
@@ -834,7 +599,7 @@ impl Backend for ClusterEngine {
 
     fn health_extra(&self) -> Option<String> {
         let alive = self.alive_workers();
-        let dead = self.lock_state().dead.clone();
+        let dead = self.lock_core().dead_workers().to_vec();
         let names = |list: &[String]| {
             list.iter()
                 .map(|n| format!("\"{n}\""))
@@ -848,35 +613,6 @@ impl Backend for ClusterEngine {
             names(&alive),
             names(&dead),
         ))
-    }
-}
-
-fn snapshot(id: u64, job: &CJob) -> JobSnapshot {
-    match &job.state {
-        CJobState::Pending => JobSnapshot {
-            id,
-            state: "queued",
-            record: None,
-            detail: String::new(),
-        },
-        CJobState::Dispatched(_) => JobSnapshot {
-            id,
-            state: "running",
-            record: None,
-            detail: String::new(),
-        },
-        CJobState::Done(record) => JobSnapshot {
-            id,
-            state: "done",
-            record: Some(record.as_ref().clone()),
-            detail: String::new(),
-        },
-        CJobState::Rejected(why) | CJobState::Quarantined(why) => JobSnapshot {
-            id,
-            state: "rejected",
-            record: None,
-            detail: why.clone(),
-        },
     }
 }
 
@@ -925,12 +661,10 @@ fn connect_worker(
     let (reply_tx, replies) = mpsc::channel();
     let link = WorkerLink {
         index,
-        name: format!("w{index}"),
+        name: crate::coord::worker_name(index),
         tx: Box::new(tx),
-        alive: AtomicBool::new(true),
         last_beat: Mutex::new(clock.now()),
         offset_us: AtomicI64::new(offset),
-        dispatched: Mutex::new(HashSet::new()),
         rpc: Mutex::new(()),
         replies: Mutex::new(replies),
         reply_tx,

@@ -46,7 +46,7 @@ use sdvbs_stream::{fold_digest, StreamSpec};
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::{alloc_track, now_us, MetricsRegistry, Phase, TraceEvent};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -186,6 +186,29 @@ impl JobSnapshot {
     /// Whether the job has reached a terminal state.
     pub fn is_terminal(&self) -> bool {
         matches!(self.state, "done" | "rejected")
+    }
+}
+
+/// The long-poll both backends share: re-reads a job's snapshot through
+/// `read` until it is terminal or `wait` elapses, parking on `changed`
+/// between reads. `None` for an unknown id.
+pub(crate) fn wait_terminal<T>(
+    changed: &Condvar,
+    mut guard: MutexGuard<'_, T>,
+    wait: Duration,
+    read: impl Fn(&T) -> Option<JobSnapshot>,
+) -> Option<JobSnapshot> {
+    let deadline = Instant::now() + wait;
+    loop {
+        let snap = read(&guard)?;
+        let now = Instant::now();
+        if snap.is_terminal() || now >= deadline {
+            return Some(snap);
+        }
+        guard = changed
+            .wait_timeout(guard, deadline - now)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
     }
 }
 
@@ -332,23 +355,9 @@ impl Engine {
     /// `wait` elapses, then returns its (possibly still non-terminal)
     /// snapshot. `None` for an unknown or retired id.
     pub fn wait_terminal(&self, id: u64, wait: Duration) -> Option<JobSnapshot> {
-        let deadline = Instant::now() + wait;
-        let mut st = self.lock_state();
-        loop {
-            let snap = st.jobs.get(&id).map(|entry| snapshot(id, entry))?;
-            if snap.is_terminal() {
-                return Some(snap);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(snap);
-            }
-            let (guard, _) = self
-                .changed
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        }
+        wait_terminal(&self.changed, self.lock_state(), wait, |st| {
+            st.jobs.get(&id).map(|entry| snapshot(id, entry))
+        })
     }
 
     /// Current number of entries in the job table (tests pin the

@@ -26,7 +26,9 @@
 //! [`cluster::ClusterEngine`] coordinator, which shards admitted jobs
 //! over the [`sdvbs_wire`] protocol to `sdvbs-serve worker` processes
 //! ([`worker`]), with heartbeat-based failure detection, work stealing,
-//! retry-then-quarantine on worker death, and cluster-wide drain.
+//! retry-then-quarantine on worker death, and cluster-wide drain. Its
+//! job lifecycle is the sans-IO [`coord::Coordinator`] state machine,
+//! which the `sdvbs-sim` simulator drives too.
 //!
 //! The streaming tier ([`stream`], over the `sdvbs-stream` crate) serves
 //! multi-frame video pipelines with per-stream frame-rate SLAs: frames
@@ -43,10 +45,10 @@ pub mod backend;
 pub mod cache;
 pub mod cluster;
 pub mod coalesce;
+pub mod coord;
 pub mod engine;
 pub mod http;
 pub mod loadgen;
-pub mod protocol;
 pub mod router;
 pub mod sched;
 pub mod server;
@@ -58,13 +60,13 @@ pub use backend::Backend;
 pub use cache::{fnv1a, spec_digest, ResultCache};
 pub use cluster::{ClusterConfig, ClusterEngine, CLUSTER_TRACK_BASE};
 pub use coalesce::InflightMap;
+pub use coord::{orphan_disposition, pick_target, OrphanDisposition, RetryPolicy};
 pub use engine::{Engine, EngineConfig, JobSnapshot, Submission};
 pub use http::{parse_request, parse_response, Framing, HttpError, Request, Response, ResponseMsg};
 pub use loadgen::{
     run_loadgen, run_stream_loadgen, spec_body, stream_spec_body, Client, LoadgenConfig,
     LoadgenReport, StreamLoadConfig, StreamLoadReport, StreamRun, TargetStats,
 };
-pub use protocol::{orphan_disposition, pick_target, OrphanDisposition, RetryPolicy};
 pub use sched::{starvation_bound, JobClass, SchedConfig, SchedQueue};
 pub use server::{Server, ServerConfig};
 pub use shutdown::{DrainReport, ShutdownController};

@@ -53,7 +53,7 @@ use sdvbs_stream::{
 };
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::Trace;
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
@@ -356,7 +356,7 @@ fn cmd_loadgen(args: &[String]) -> Result<ExitCode, String> {
             drain_limit: Duration::from_secs(300),
         };
         let report = run_stream_loadgen(&cfg).map_err(|e| format!("stream loadgen failed: {e}"))?;
-        print!("{report}");
+        print_report(&report)?;
         let ok = report.errors == 0
             && report.streams.len() == streams.len()
             && report.streams.iter().all(StreamRun::accounted);
@@ -378,12 +378,25 @@ fn cmd_loadgen(args: &[String]) -> Result<ExitCode, String> {
         poll_ms,
     };
     let report = run_loadgen(&cfg).map_err(|e| format!("loadgen failed: {e}"))?;
-    print!("{report}");
+    print_report(&report)?;
     Ok(if report.errors == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
     })
+}
+
+/// Writes a loadgen report to stdout. A reader that closed the pipe early
+/// (`… loadgen … | head -1`) already has what it wanted, so a broken pipe
+/// is not an error.
+fn print_report(report: &impl std::fmt::Display) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match write!(out, "{report}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("writing the report: {e}"))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// The CI smoke gate. Everything runs in-process on loopback.

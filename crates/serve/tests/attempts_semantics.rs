@@ -6,7 +6,7 @@
 //! it as `max_retries`; the coordinator as `RetryPolicy::budget` and
 //! `orphan_disposition`. This test runs the real runner (on a virtual
 //! clock, so the retry backoff costs no wall time) against
-//! `sdvbs_serve::protocol` for every small budget and pins that the two
+//! `sdvbs_serve::coord` for every small budget and pins that the two
 //! agree execution for execution.
 
 use sdvbs_core::{ExecPolicy, InputSize};

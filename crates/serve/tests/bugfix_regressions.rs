@@ -7,7 +7,7 @@ use sdvbs_core::{ExecPolicy, InputSize};
 use sdvbs_runner::Job;
 use sdvbs_serve::engine::{Engine, EngineConfig, Submission};
 use sdvbs_serve::{fnv1a, DrainReport, JobClass, ResultCache};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spec(seed: u64) -> Job {
     Job::new(
@@ -167,6 +167,12 @@ fn job_table_stays_bounded_over_thousands_of_jobs() {
         );
     }
     wait(&engine, last_id);
+    // With two workers the last id can finish while the other worker is
+    // still resolving an earlier one, so wait for the counter itself.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while engine.counter("jobs_invalid") < total && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert!(engine.counter("jobs_retired") > 0);
     assert_eq!(engine.counter("jobs_invalid"), total);
     // Ids never restarted: the last id is the last submission's ordinal.

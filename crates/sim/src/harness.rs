@@ -169,7 +169,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimOutcome {
     };
     for job in model.jobs() {
         match job.state {
-            JobState::Done => stats.completed += 1,
+            JobState::Done(_) => stats.completed += 1,
             JobState::Rejected(_) => stats.rejected += 1,
             JobState::Quarantined(_) => stats.quarantined += 1,
             _ => {}

@@ -2,7 +2,7 @@
 //!
 //! Each check returns human-readable violation strings naming the job or
 //! worker involved; the harness attaches the seed, which is the whole
-//! reproduction recipe. The four properties are the ones the cluster's
+//! reproduction recipe. The five properties are the ones the cluster's
 //! correctness story rests on:
 //!
 //! 1. **No job lost or double-completed** — every admitted job reaches a
@@ -10,7 +10,7 @@
 //!    stalls, and partitions.
 //! 2. **Retry budget** — a job never begins more than `budget + 1`
 //!    executions, and a quarantine-by-exhaustion happens at exactly that
-//!    count (the unified accounting of [`sdvbs_serve::protocol`]).
+//!    count (the unified accounting of [`sdvbs_serve::coord`]).
 //! 3. **Drain terminates** — once a drain starts, the cluster reaches
 //!    quiescence: every job terminal, the stop broadcast sent, the event
 //!    queue empty before the horizon.
@@ -19,6 +19,10 @@
 //!    explained by a crash, a stall, or a partition overlapping the
 //!    liveness window (message latency is otherwise bounded well below
 //!    the liveness threshold, so heartbeats flow).
+//! 5. **One live holder** — the coordinator never dispatches a job while
+//!    a worker it still considers alive holds that job queued or
+//!    running. A late reply from a worker that no longer holds the job
+//!    must not put it back in the queue.
 
 use crate::faults::FaultSchedule;
 use crate::model::{JobState, SimJob, SimModel};
@@ -43,17 +47,19 @@ pub struct CheckContext<'a> {
 /// clean.
 pub fn check(model: &SimModel, ctx: &CheckContext<'_>) -> Vec<String> {
     let mut violations = Vec::new();
-    no_lost_or_double(model.jobs(), &mut violations);
-    retry_budget(model.jobs(), ctx.retry_budget, &mut violations);
+    let jobs = model.jobs();
+    no_lost_or_double(&jobs, &mut violations);
+    retry_budget(&jobs, ctx.retry_budget, &mut violations);
     drain_terminates(model, ctx, &mut violations);
     staleness_honesty(model, ctx, &mut violations);
+    one_live_holder(model, &mut violations);
     violations
 }
 
 /// Invariant 1: terminal exactly once.
 fn no_lost_or_double(jobs: &[SimJob], out: &mut Vec<String>) {
     for (id, job) in jobs.iter().enumerate() {
-        if !job.state.is_terminal() {
+        if matches!(job.state, JobState::Pending | JobState::Dispatched(_)) {
             out.push(format!(
                 "job {id} lost: final state {:?} after quiescence",
                 job.state
@@ -64,9 +70,6 @@ fn no_lost_or_double(jobs: &[SimJob], out: &mut Vec<String>) {
                 "job {id} double-completed: {} terminal transitions",
                 job.terminal_transitions
             ));
-        }
-        if matches!(job.state, JobState::Done) && job.record.is_none() {
-            out.push(format!("job {id} done without a record"));
         }
     }
 }
@@ -141,4 +144,9 @@ fn staleness_honesty(model: &SimModel, ctx: &CheckContext<'_>, out: &mut Vec<Str
             ));
         }
     }
+}
+
+/// Invariant 5: no dispatch while a live worker holds the job.
+fn one_live_holder(model: &SimModel, out: &mut Vec<String>) {
+    out.extend(model.audit.held_dispatches.iter().cloned());
 }

@@ -20,12 +20,13 @@
 //!   heal;
 //! * faults are planned from the seed ([`faults`]): crashes, stalls,
 //!   partitions, reorder — so **the failing seed is the reproduction**;
-//! * the protocol logic is *shared with production*: every decision goes
-//!   through [`sdvbs_serve::protocol`], and every message round-trips
-//!   the real [`sdvbs_wire`] frame codec.
+//! * the coordinator *is production's*: the model drives the same
+//!   sans-IO state machine ([`sdvbs_serve::coord::Coordinator`]) that the
+//!   cluster coordinator runs from its threads — not a mirror of it — and
+//!   every message round-trips the real [`sdvbs_wire`] frame codec.
 //!
-//! [`harness::run_sim`] executes one seed and checks the invariants in
-//! [`invariants`]; [`harness::explore`] sweeps a seed range; the
+//! [`harness::run_sim`] executes one seed and checks the five invariants
+//! in [`invariants`]; [`harness::explore`] sweeps a seed range; the
 //! `sdvbs-sim` binary exposes both (`explore`, `replay`) for CI and for
 //! humans chasing a failing seed.
 

@@ -1,26 +1,26 @@
 //! The deterministic model of the coordinator/worker cluster.
 //!
-//! This is the production protocol of [`sdvbs_serve::cluster`] and
-//! [`sdvbs_serve::worker`] re-hosted on a single-threaded discrete-event
-//! scheduler. Three things are shared with production outright, so the
-//! model cannot drift from the code it tests:
+//! The coordinator here *is* production's: every admission, dispatch,
+//! reply, death and drain goes through the same sans-IO
+//! [`Coordinator`] state machine that [`sdvbs_serve::cluster`] drives
+//! from its threads, so the model cannot drift from the code it tests.
+//! Two more things are shared with production outright:
 //!
-//! * **every decision** — shard choice, orphan fate, retry exhaustion,
-//!   staleness — is the corresponding pure function in
-//!   [`sdvbs_serve::protocol`];
 //! * **every message** is a real [`sdvbs_wire::Message`], round-tripped
 //!   through [`encode_frame`]/[`decode_frame`] on each hop, so the sim
 //!   exercises the production codec on every delivery;
 //! * **time** is a real [`sdvbs_exec::VirtualClock`] behind a
 //!   [`ClockHandle`] — the same handle type the production config
 //!   carries — advanced by the event loop; heartbeat staleness is
-//!   measured with `ClockHandle::since` exactly as the coordinator does.
+//!   measured with `ClockHandle::since` and judged by
+//!   [`sdvbs_serve::coord::is_stale`] exactly as the coordinator does.
 //!
-//! What the model replaces is the *mechanics*: threads become events,
-//! TCP becomes [`SimNet`] (which keeps TCP's FIFO-per-link, no-silent-
-//! loss contract), and worker engines become queued virtual executions.
-//! Faults — crashes, stalls, partitions — come from a seed-planned
-//! [`FaultSchedule`], so any run reproduces from its seed alone.
+//! What the model replaces is the *mechanics* around the state machine:
+//! threads become events, TCP becomes [`SimNet`] (which keeps TCP's
+//! FIFO-per-link, no-silent-loss contract), and worker engines become
+//! queued virtual executions. Faults — crashes, stalls, partitions —
+//! come from a seed-planned [`FaultSchedule`], so any run reproduces from
+//! its seed alone.
 
 use crate::faults::FaultSchedule;
 use crate::net::{Dir, NetConfig, SimNet};
@@ -28,10 +28,11 @@ use crate::rng::SimRng;
 use crate::sched::EventQueue;
 use sdvbs_exec::ClockHandle;
 use sdvbs_runner::{policy_label, size_label, HostMeta, Job, RunRecord, RunStatus};
-use sdvbs_serve::protocol::{self, OrphanDisposition, RetryPolicy};
-use sdvbs_serve::spec_digest;
+pub use sdvbs_serve::coord::JobState;
+use sdvbs_serve::coord::{is_stale, Coordinator, OrphanDisposition, Step};
+use sdvbs_serve::{spec_digest, ClusterConfig, JobClass, Submission};
 use sdvbs_wire::{decode_frame, encode_frame, Message};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 /// Cluster sizing and timing knobs, all in virtual microseconds.
@@ -61,14 +62,14 @@ pub struct ModelConfig {
 
 impl Default for ModelConfig {
     fn default() -> Self {
-        // Heartbeat/liveness/budget mirror ClusterConfig::default.
+        let cluster = ClusterConfig::default();
         ModelConfig {
             workers: 3,
             queue_capacity: 1024,
-            per_worker_inflight: 8,
-            heartbeat_us: 300_000,
-            liveness_us: 3_000_000,
-            retry_budget: 2,
+            per_worker_inflight: cluster.per_worker_inflight,
+            heartbeat_us: cluster.heartbeat.as_micros() as u64,
+            liveness_us: cluster.liveness.as_micros() as u64,
+            retry_budget: cluster.retry_budget,
             // Smaller than per_worker_inflight on purpose: the
             // coordinator can legally overrun a worker's queue, so the
             // Busy-bounce path gets exercised under bursty load.
@@ -80,51 +81,31 @@ impl Default for ModelConfig {
     }
 }
 
-/// Mirror of the coordinator's `CJobState`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobState {
-    /// Admitted, awaiting dispatch.
-    Pending,
-    /// Dispatched to worker `i`.
-    Dispatched(usize),
-    /// Completed with a record.
-    Done,
-    /// Refused without a result.
-    Rejected(String),
-    /// Retry budget exhausted (or no live workers).
-    Quarantined(String),
-}
-
-impl JobState {
-    /// Whether the job can never change state again.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Done | JobState::Rejected(_) | JobState::Quarantined(_)
-        )
-    }
-}
-
-/// One admitted cluster job plus its audit trail.
+/// One admitted job, viewed for invariant checking: the coordinator's
+/// table entry plus the audit counts the model took from the
+/// coordinator's returned outcomes.
 #[derive(Debug, Clone)]
 pub struct SimJob {
-    /// The real spec (digested for sharding exactly as production).
-    pub spec: Job,
-    /// `spec_digest(&spec)`.
-    pub digest: u64,
-    /// Lifecycle state.
+    /// Lifecycle state, as the coordinator holds it.
     pub state: JobState,
     /// Executions begun (the unified accounting of
-    /// [`sdvbs_serve::protocol`]).
+    /// [`sdvbs_serve::coord`]).
     pub attempts: u32,
-    /// Highest `attempts` ever observed (Busy refunds lower `attempts`,
-    /// never this).
+    /// Highest attempt number ever dispatched (Busy refunds lower
+    /// `attempts`, never this).
     pub attempts_high: u32,
-    /// Times the job entered a terminal state. The no-lost/no-double
-    /// invariant demands exactly 1.
+    /// Times the coordinator reported the job entering a terminal state.
+    /// The no-lost/no-double invariant demands exactly 1.
     pub terminal_transitions: u32,
-    /// The completed record, when `Done`.
+    /// The completed record, when `Done` (a copy of the one in `state`).
     pub record: Option<Box<RunRecord>>,
+}
+
+/// The per-job counts [`SimJob`] adds to the coordinator's table.
+#[derive(Debug, Clone, Copy, Default)]
+struct JobAudit {
+    attempts_high: u32,
+    terminal_transitions: u32,
 }
 
 /// A recorded worker death.
@@ -134,7 +115,7 @@ pub struct Death {
     pub worker: usize,
     /// Virtual time of the declaration.
     pub at_us: u64,
-    /// The reason string passed to `mark_dead`.
+    /// Why the worker was declared dead.
     pub why: String,
     /// True when declared by heartbeat staleness (vs. a broken link).
     pub stale: bool,
@@ -145,13 +126,6 @@ pub struct Death {
 pub struct RunAudit {
     /// Worker deaths in declaration order.
     pub deaths: Vec<Death>,
-    /// Virtual time the drain began, if it did.
-    pub drain_started_us: Option<u64>,
-    /// Virtual time the coordinator finished draining (all jobs
-    /// terminal, Drain sent to survivors).
-    pub drain_stopped_us: Option<u64>,
-    /// Workers that answered `DrainOk`.
-    pub drain_ok: Vec<usize>,
     /// Submissions refused at admission (drain or queue-full): these
     /// never became jobs.
     pub refused_admission: u64,
@@ -161,8 +135,12 @@ pub struct RunAudit {
     pub requeues: u64,
     /// Jobs stolen off their home shard.
     pub stolen: u64,
+    /// One line per dispatch of a job that a worker the coordinator
+    /// still considered alive held queued or running.
+    pub held_dispatches: Vec<String>,
 }
 
+#[derive(Default)]
 struct SimWorker {
     crashed: bool,
     stalled_until: u64,
@@ -177,21 +155,12 @@ struct SimWorker {
 }
 
 impl SimWorker {
-    fn new() -> Self {
-        SimWorker {
-            crashed: false,
-            stalled_until: 0,
-            draining: false,
-            drain_ok_pending: false,
-            queue: VecDeque::new(),
-            running: BTreeMap::new(),
-            completed: 0,
-            rejected: 0,
-        }
-    }
-
     fn outstanding(&self) -> usize {
         self.queue.len() + self.running.len()
+    }
+
+    fn holds(&self, id: u64) -> bool {
+        self.running.contains_key(&id) || self.queue.iter().any(|&(q, _)| q == id)
     }
 }
 
@@ -225,15 +194,13 @@ pub struct SimModel {
     clock: ClockHandle,
     virt: std::sync::Arc<sdvbs_exec::VirtualClock>,
 
-    // Coordinator state (mirrors ClusterState + WorkerLink fields).
-    jobs: Vec<SimJob>,
-    pending: VecDeque<u64>,
-    outstanding: usize,
-    draining: bool,
+    /// The production coordinator state machine.
+    coord: Coordinator,
+    /// Per-job audit counts, indexed by job id.
+    job_audits: Vec<JobAudit>,
+    // The state `ClusterEngine` keeps beside its state machine.
     stopping: bool,
-    alive: Vec<bool>,
     last_beat: Vec<Duration>,
-    dispatched: Vec<BTreeSet<u64>>,
     hb_seq: u64,
 
     workers: Vec<SimWorker>,
@@ -274,6 +241,15 @@ impl SimModel {
         queue.push(0, Ev::HeartbeatTick);
         queue.push(drain_at_us, Ev::BeginDrain);
         let t0 = clock.now();
+        let coord = Coordinator::new(
+            n,
+            &ClusterConfig {
+                queue_capacity: cfg.queue_capacity,
+                per_worker_inflight: cfg.per_worker_inflight,
+                retry_budget: cfg.retry_budget,
+                ..ClusterConfig::default()
+            },
+        );
         SimModel {
             cfg,
             rng,
@@ -281,16 +257,12 @@ impl SimModel {
             queue,
             clock,
             virt,
-            jobs: Vec::new(),
-            pending: VecDeque::new(),
-            outstanding: 0,
-            draining: false,
+            coord,
+            job_audits: Vec::new(),
             stopping: false,
-            alive: vec![true; n],
             last_beat: vec![t0; n],
-            dispatched: vec![BTreeSet::new(); n],
             hb_seq: 0,
-            workers: (0..n).map(|_| SimWorker::new()).collect(),
+            workers: (0..n).map(|_| SimWorker::default()).collect(),
             planned,
             log: Vec::new(),
             audit: RunAudit::default(),
@@ -309,13 +281,29 @@ impl SimModel {
             }
             self.virt.advance_to(Duration::from_micros(now));
             self.handle(now, ev);
+            self.stop_when_drained(now);
         }
         self.queue.now_us()
     }
 
-    /// The admitted jobs, for invariant checks and reporting.
-    pub fn jobs(&self) -> &[SimJob] {
-        &self.jobs
+    /// The admitted jobs, for invariant checks and reporting: the
+    /// coordinator's table joined with the audit counts.
+    pub fn jobs(&self) -> Vec<SimJob> {
+        self.coord
+            .jobs()
+            .iter()
+            .zip(&self.job_audits)
+            .map(|(job, audit)| SimJob {
+                state: job.state.clone(),
+                attempts: job.attempts,
+                attempts_high: audit.attempts_high,
+                terminal_transitions: audit.terminal_transitions,
+                record: match &job.state {
+                    JobState::Done(record) => Some(record.clone()),
+                    _ => None,
+                },
+            })
+            .collect()
     }
 
     /// Events still scheduled (nonzero only when the horizon tripped).
@@ -362,7 +350,7 @@ impl SimModel {
 
     fn handle(&mut self, now: u64, ev: Ev) {
         match ev {
-            Ev::Submit(i) => self.submit(now, i),
+            Ev::Submit(i) => self.on_submit(now, i),
             Ev::ToWorker { w, frame } => {
                 // A stalled worker processes nothing until it wakes; a
                 // crashed worker processes nothing ever (the kernel acked
@@ -383,10 +371,10 @@ impl SimModel {
                 self.coord_message(now, w, msg);
             }
             Ev::LinkBroken { w } => {
-                // Mirrors reader_loop's Err arm: teardown closure is not
-                // a death.
+                // As in the coordinator's link reader: teardown closure
+                // is not a death.
                 if !self.stopping {
-                    self.mark_dead(now, w, "link closed", false);
+                    self.declare_dead(now, w, "link closed", false);
                 }
             }
             Ev::HeartbeatTick => self.heartbeat_tick(now),
@@ -398,154 +386,118 @@ impl SimModel {
                     self.note(now, format!("fault: w{w} stalls until {until_us}"));
                 }
             }
-            Ev::BeginDrain => self.begin_drain(now),
+            Ev::BeginDrain => self.on_drain(now),
         }
     }
 
     // ---- coordinator ---------------------------------------------------
 
-    /// Mirrors `ClusterEngine::submit` (always `fresh`: the sim's load
-    /// has distinct specs, so cache/coalescing — which sit above the
-    /// dispatch layer — never engage in production either).
-    fn submit(&mut self, now: u64, i: usize) {
+    /// A submission (always `fresh`: the sim's load has distinct specs,
+    /// and the result cache sits above the state machine in production
+    /// too).
+    fn on_submit(&mut self, now: u64, i: usize) {
         let spec = self.planned[i].clone();
-        if self.draining {
-            self.audit.refused_admission += 1;
-            self.note(now, format!("submit refused (draining): load[{i}]"));
-            return;
-        }
-        if self.outstanding >= self.cfg.queue_capacity.max(1) {
-            self.audit.refused_admission += 1;
-            self.note(now, format!("submit refused (queue full): load[{i}]"));
-            return;
-        }
-        let id = self.jobs.len() as u64;
         let digest = spec_digest(&spec);
-        self.jobs.push(SimJob {
-            spec,
-            digest,
-            state: JobState::Pending,
-            attempts: 0,
-            attempts_high: 0,
-            terminal_transitions: 0,
-            record: None,
-        });
-        self.pending.push_back(id);
-        self.outstanding += 1;
-        self.note(now, format!("submit id={id} digest={digest:#018x}"));
-        self.try_dispatch(now);
+        let why = match self.coord.admit(spec, digest, JobClass::Interactive, true) {
+            Submission::Queued(id) => {
+                self.job_audits.push(JobAudit::default());
+                self.note(now, format!("submit id={id} digest={digest:#018x}"));
+                self.send_dispatches(now);
+                return;
+            }
+            Submission::Draining => "draining",
+            _ => "queue full",
+        };
+        self.audit.refused_admission += 1;
+        self.note(now, format!("submit refused ({why}): load[{i}]"));
     }
 
-    /// Mirrors the dispatcher: drains the pending queue as far as
-    /// `protocol::pick_target` allows.
-    fn try_dispatch(&mut self, now: u64) {
-        while let Some(&id) = self.pending.front() {
-            if self.alive.iter().all(|a| !a) {
-                self.pending.pop_front();
-                self.set_terminal(now, id, JobState::Quarantined("no live workers".into()));
-                continue;
+    /// Steps the dispatcher until every live worker is at its cap or
+    /// nothing is waiting, sending each dispatch it produces.
+    fn send_dispatches(&mut self, now: u64) {
+        loop {
+            match self.coord.next_dispatch() {
+                Step::Batch(_) => {}
+                Step::NoWorkers(id) => self.count_terminal(now, id),
+                Step::Dispatch {
+                    id,
+                    worker,
+                    spec,
+                    attempt,
+                    stolen,
+                } => {
+                    let holders: Vec<usize> = (0..self.workers.len())
+                        .filter(|&x| self.coord.is_alive(x) && self.workers[x].holds(id))
+                        .collect();
+                    for holder in holders {
+                        self.audit.held_dispatches.push(format!(
+                            "job {id} dispatched to w{worker} at t={now}µs while live worker \
+                             w{holder} held it"
+                        ));
+                    }
+                    let audit = &mut self.job_audits[id as usize];
+                    audit.attempts_high = audit.attempts_high.max(attempt);
+                    self.audit.stolen += u64::from(stolen);
+                    self.note(
+                        now,
+                        format!("dispatch id={id} -> w{worker} attempt={attempt}"),
+                    );
+                    self.send_to_worker(now, worker, &Message::Dispatch { id, spec });
+                }
+                Step::Full | Step::Idle => return,
             }
-            let digest = self.jobs[id as usize].digest;
-            let inflight: Vec<usize> = self.dispatched.iter().map(BTreeSet::len).collect();
-            let Some(w) =
-                protocol::pick_target(digest, &self.alive, &inflight, self.cfg.per_worker_inflight)
-            else {
-                // Every live worker at its cap: a completion or death
-                // will re-trigger dispatch.
-                return;
-            };
-            self.pending.pop_front();
-            let job = &mut self.jobs[id as usize];
-            job.state = JobState::Dispatched(w);
-            job.attempts += 1;
-            job.attempts_high = job.attempts_high.max(job.attempts);
-            let attempt = job.attempts;
-            let spec = job.spec.clone();
-            let home = (digest % self.alive.len() as u64) as usize;
-            if w != home {
-                self.audit.stolen += 1;
-            }
-            self.dispatched[w].insert(id);
-            self.note(now, format!("dispatch id={id} -> w{w} attempt={attempt}"));
-            self.send_to_worker(now, w, &Message::Dispatch { id, spec });
         }
     }
 
-    /// Mirrors `reader_loop` message handling.
+    /// A worker's reply, as the coordinator's link reader handles it.
     fn coord_message(&mut self, now: u64, w: usize, msg: Message) {
-        match msg {
-            Message::Done { id, record } => {
-                self.dispatched[w].remove(&id);
-                let Some(job) = self.jobs.get_mut(id as usize) else {
-                    return;
-                };
-                if !matches!(job.state, JobState::Dispatched(_)) {
-                    self.note(now, format!("late done id={id} from w{w} ignored"));
-                    return;
-                }
-                job.record = Some(record);
-                self.set_terminal(now, id, JobState::Done);
-                self.try_dispatch(now);
-            }
-            Message::Rejected { id, detail } => {
-                self.dispatched[w].remove(&id);
-                let Some(job) = self.jobs.get(id as usize) else {
-                    return;
-                };
-                if !matches!(job.state, JobState::Dispatched(_)) {
-                    return;
-                }
-                self.set_terminal(now, id, JobState::Rejected(detail));
-                self.try_dispatch(now);
-            }
-            Message::Busy { id } => {
-                // The bounced dispatch never executed: give back the
-                // charged attempt (unified accounting; see
-                // `sdvbs_serve::protocol`).
-                self.dispatched[w].remove(&id);
-                let Some(job) = self.jobs.get_mut(id as usize) else {
-                    return;
-                };
-                if !matches!(job.state, JobState::Dispatched(_)) {
-                    return;
-                }
-                job.state = JobState::Pending;
-                job.attempts = job.attempts.saturating_sub(1);
-                self.pending.push_back(id);
-                self.audit.busy_bounces += 1;
-                self.note(now, format!("busy id={id} from w{w}; requeued"));
-                self.try_dispatch(now);
-            }
+        let kind = msg.kind();
+        let (id, applied) = match msg {
+            Message::Done { id, record } => (id, self.coord.on_done(w, id, *record).is_some()),
+            Message::Rejected { id, detail } => (id, self.coord.on_rejected(w, id, &detail)),
+            Message::Busy { id } => (id, self.coord.on_busy(w, id)),
             Message::HeartbeatOk { .. } => {
                 // A stale-marked worker's late replies refresh the beat
                 // but never resurrect it — exactly production.
                 self.last_beat[w] = self.clock.now();
+                return;
             }
             Message::DrainOk {
                 completed,
                 rejected,
             } => {
-                self.audit.drain_ok.push(w);
-                self.alive[w] = false;
+                self.coord.retire(w);
                 self.note(
                     now,
                     format!("drain_ok from w{w}: completed={completed} rejected={rejected}"),
                 );
+                return;
             }
             Message::Error { message } => {
                 self.note(now, format!("worker w{w} error: {message}"));
+                return;
             }
-            _ => {}
-        }
-    }
-
-    /// Mirrors `ClusterEngine::mark_dead`: idempotent, orphans judged by
-    /// the shared policy.
-    fn mark_dead(&mut self, now: u64, w: usize, why: &str, stale: bool) {
-        if !self.alive[w] {
+            _ => return,
+        };
+        if !applied {
+            self.note(now, format!("late {kind} id={id} from w{w} ignored"));
             return;
         }
-        self.alive[w] = false;
+        if matches!(kind, "busy") {
+            self.audit.busy_bounces += 1;
+            self.note(now, format!("busy id={id} from w{w}; requeued"));
+        } else {
+            self.count_terminal(now, id);
+        }
+        self.send_dispatches(now);
+    }
+
+    /// Declares worker `w` dead through the state machine and logs what
+    /// became of its orphans.
+    fn declare_dead(&mut self, now: u64, w: usize, why: &str, stale: bool) {
+        let Some(orphans) = self.coord.mark_dead(w) else {
+            return;
+        };
         self.audit.deaths.push(Death {
             worker: w,
             at_us: now,
@@ -553,115 +505,74 @@ impl SimModel {
             stale,
         });
         self.note(now, format!("worker w{w} declared dead: {why}"));
-        let orphans: Vec<u64> = std::mem::take(&mut self.dispatched[w])
-            .into_iter()
-            .collect();
-        let policy = RetryPolicy {
-            budget: self.cfg.retry_budget,
-        };
-        for id in orphans {
-            let Some(job) = self.jobs.get(id as usize) else {
-                continue;
-            };
-            if !matches!(job.state, JobState::Dispatched(d) if d == w) {
-                continue;
-            }
-            let attempts = job.attempts;
-            match protocol::orphan_disposition(attempts, policy, self.draining) {
-                OrphanDisposition::Quarantine => {
-                    let detail =
-                        format!("quarantined after {attempts} attempts; worker w{w} died mid-run");
-                    self.set_terminal(now, id, JobState::Quarantined(detail));
-                }
-                OrphanDisposition::RejectDraining => {
-                    let detail = format!("worker w{w} died during drain");
-                    self.set_terminal(now, id, JobState::Rejected(detail));
-                }
-                OrphanDisposition::Requeue => {
-                    self.jobs[id as usize].state = JobState::Pending;
-                    self.pending.push_front(id);
-                    self.audit.requeues += 1;
-                    self.note(now, format!("requeue id={id} (orphan of w{w})"));
-                }
+        for (id, fate) in orphans {
+            if fate == OrphanDisposition::Requeue {
+                self.audit.requeues += 1;
+                self.note(now, format!("requeue id={id} (orphan of w{w})"));
+            } else {
+                self.count_terminal(now, id);
             }
         }
-        self.try_dispatch(now);
-        self.drain_check(now);
+        self.send_dispatches(now);
     }
 
-    /// Moves a job to a terminal state — the single chokepoint, so the
-    /// no-double-terminal invariant is counted exactly.
-    fn set_terminal(&mut self, now: u64, id: u64, terminal: JobState) {
-        let line = match &terminal {
-            JobState::Done => format!("done id={id}"),
-            JobState::Rejected(why) => format!("rejected id={id}: {why}"),
-            JobState::Quarantined(why) => format!("quarantined id={id}: {why}"),
-            other => unreachable!("set_terminal({other:?})"),
+    /// Records that the coordinator reported job `id` terminal — every
+    /// terminal outcome passes here, so the no-double-terminal invariant
+    /// is counted exactly.
+    fn count_terminal(&mut self, now: u64, id: u64) {
+        self.job_audits[id as usize].terminal_transitions += 1;
+        let line = match self.coord.jobs().get(id as usize).map(|job| &job.state) {
+            Some(JobState::Done(_)) => format!("done id={id}"),
+            Some(JobState::Rejected(why)) => format!("rejected id={id}: {why}"),
+            Some(JobState::Quarantined(why)) => format!("quarantined id={id}: {why}"),
+            other => format!("terminal outcome for id={id} in state {other:?}"),
         };
-        let job = &mut self.jobs[id as usize];
-        job.state = terminal;
-        job.terminal_transitions += 1;
-        self.outstanding = self.outstanding.saturating_sub(1);
         self.note(now, line);
-        self.drain_check(now);
     }
 
-    /// Mirrors `heartbeat_loop`'s body: send to the living, then judge
-    /// staleness via the shared policy (drain suppresses it).
+    /// The heartbeat loop's body: send to the living, then judge
+    /// staleness (a drain suppresses it).
     fn heartbeat_tick(&mut self, now: u64) {
         if self.stopping {
             return;
         }
         self.hb_seq += 1;
         let seq = self.hb_seq;
-        let draining = self.draining;
-        for w in 0..self.alive.len() {
-            if !self.alive[w] {
+        let liveness = Duration::from_micros(self.cfg.liveness_us);
+        for w in 0..self.workers.len() {
+            if !self.coord.is_alive(w) {
                 continue;
             }
             self.send_to_worker(now, w, &Message::Heartbeat { seq });
             let age = self.clock.since(self.last_beat[w]);
-            if protocol::is_stale(age, Duration::from_micros(self.cfg.liveness_us), draining) {
-                self.mark_dead(now, w, "missed heartbeats", true);
+            if is_stale(age, liveness, self.coord.is_draining()) {
+                self.declare_dead(now, w, "missed heartbeats", true);
             }
         }
         let next = now + self.cfg.heartbeat_us;
         self.queue.push(next, Ev::HeartbeatTick);
     }
 
-    /// Mirrors `begin_drain`: stop admission, reject the undispatched.
-    fn begin_drain(&mut self, now: u64) {
-        if self.draining {
-            return;
-        }
-        self.draining = true;
-        self.audit.drain_started_us = Some(now);
+    /// The operator's drain: admission closes and the undispatched are
+    /// rejected.
+    fn on_drain(&mut self, now: u64) {
         self.note(now, "drain begins".to_string());
-        let pending: Vec<u64> = self.pending.drain(..).collect();
-        for id in pending {
-            self.set_terminal(
-                now,
-                id,
-                JobState::Rejected("server shutting down before execution".into()),
-            );
+        for id in self.coord.begin_drain() {
+            self.count_terminal(now, id);
         }
-        self.drain_check(now);
     }
 
-    /// Mirrors the tail of `drain`: once every admitted job is terminal,
-    /// raise `stopping` and tell each survivor to drain and exit.
-    fn drain_check(&mut self, now: u64) {
-        if !self.draining || self.stopping {
-            return;
-        }
-        if !self.jobs.iter().all(|j| j.state.is_terminal()) {
+    /// The tail of `ClusterEngine::drain`: once every admitted job is
+    /// terminal, raise `stopping` and tell each survivor to drain and
+    /// exit.
+    fn stop_when_drained(&mut self, now: u64) {
+        if !self.coord.is_draining() || self.stopping || !self.coord.quiescent() {
             return;
         }
         self.stopping = true;
-        self.audit.drain_stopped_us = Some(now);
         self.note(now, "drain complete; stopping cluster".to_string());
-        for w in 0..self.alive.len() {
-            if self.alive[w] {
+        for w in 0..self.workers.len() {
+            if self.coord.is_alive(w) {
                 self.send_to_worker(now, w, &Message::Drain);
             }
         }
@@ -669,7 +580,7 @@ impl SimModel {
 
     // ---- workers -------------------------------------------------------
 
-    /// Mirrors `serve_coordinator`'s message handling.
+    /// A worker's message handling, as `serve_coordinator` does it.
     fn worker_message(&mut self, now: u64, w: usize, msg: Message) {
         match msg {
             Message::Dispatch { id, spec } => {
@@ -691,8 +602,8 @@ impl SimModel {
                 // The spec round-tripped the codec; sanity-pin the digest
                 // so a codec regression surfaces as a loud sim failure.
                 assert_eq!(
-                    spec_digest(&spec),
-                    self.jobs[id as usize].digest,
+                    Some(spec_digest(&spec)),
+                    self.coord.jobs().get(id as usize).map(|job| job.digest),
                     "spec mutated in transit"
                 );
             }
@@ -794,7 +705,11 @@ impl SimModel {
     /// nothing, but every field the wire schema and store care about is
     /// populated and survives the codec round trip.
     fn synthesize_record(&self, id: u64) -> RunRecord {
-        let job = &self.jobs[id as usize];
+        let job = self
+            .coord
+            .jobs()
+            .get(id as usize)
+            .expect("a dispatched job was admitted");
         let exec_ms = self.cfg.exec_min_us as f64 / 1e3;
         RunRecord {
             job_id: id,

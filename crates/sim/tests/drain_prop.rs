@@ -82,7 +82,7 @@ proptest! {
                 "job {} finished {} times", id, job.terminal_transitions
             );
             match &job.state {
-                JobState::Done => prop_assert!(
+                JobState::Done(_) => prop_assert!(
                     job.record.is_some(),
                     "job {} done without a run record", id
                 ),
