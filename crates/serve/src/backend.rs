@@ -3,24 +3,32 @@
 //! The router and the TCP front end never execute jobs themselves — they
 //! speak to a [`Backend`], and two implementations exist:
 //!
-//! * the single-process [`Engine`](crate::engine::Engine), which runs
+//! * the single-process [`Engine`], which runs
 //!   jobs on its own worker-thread pool, and
 //! * the [`ClusterEngine`](crate::cluster::ClusterEngine), which shards
 //!   jobs over TCP to `sdvbs-serve worker` processes.
 //!
-//! Both keep the same serving mechanics at the front: the result cache,
-//! request coalescing, and admission control all live *above* the
-//! backend's execution substrate, so a cached or coalesced answer never
-//! crosses a process boundary in either mode.
+//! Both drive one job lifecycle, the sans-IO [`Coordinator`], through
+//! the crate-private `Lifecycle` here: the core under one lock, the
+//! result cache above it, and the two paths every submission and every
+//! result take — cache-then-admit (`Lifecycle::submit`) and
+//! cache-put-on-done (`Lifecycle::done`). So the result cache, request
+//! coalescing, admission control, retirement and drain behave the same
+//! in both modes, and a cached or coalesced answer never crosses a
+//! process boundary.
 
-use crate::engine::{Engine, JobSnapshot, Submission};
+use crate::cache::{cache_preimage, spec_digest, CacheLookup, ResultCache};
+use crate::coord::{Coordinator, JobState};
+use crate::engine::{group_key, Engine, JobSnapshot, Submission};
 use crate::sched::JobClass;
 use crate::shutdown::DrainReport;
 use crate::stream::{FrameTicket, StreamRefused, StreamStatus};
-use sdvbs_runner::Job;
+use sdvbs_exec::ClockHandle;
+use sdvbs_runner::{Job, RunRecord};
 use sdvbs_stream::StreamSpec;
 use sdvbs_trace::{MetricsRegistry, TraceEvent};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// What the HTTP layer needs from an execution substrate. Object-safe so
 /// the server holds an `Arc<dyn Backend>`.
@@ -123,5 +131,198 @@ impl Backend for Engine {
     }
     fn close_stream(&self, id: u64) -> Option<StreamStatus> {
         Engine::close_stream(self, id)
+    }
+}
+
+/// What a backend's job table carries per job. The result cache is keyed
+/// by the benchmark spec inside it.
+pub(crate) trait Payload: Clone {
+    /// Wraps a submitted benchmark spec.
+    fn bench(spec: Job) -> Self;
+    /// The benchmark spec, when the payload is one.
+    fn spec(&self) -> Option<&Job>;
+}
+
+impl Payload for Job {
+    fn bench(spec: Job) -> Self {
+        spec
+    }
+    fn spec(&self) -> Option<&Job> {
+        Some(self)
+    }
+}
+
+/// The job lifecycle both backends drive: the [`Coordinator`] under one
+/// lock, the condvar every transition notifies, the result cache above
+/// the core, the lifetime metrics, and the clock retirement ages against.
+pub(crate) struct Lifecycle<P> {
+    core: Mutex<Coordinator<P>>,
+    /// Notified on every transition a waiter might care about.
+    pub(crate) changed: Condvar,
+    pub(crate) cache: ResultCache,
+    metrics: Mutex<MetricsRegistry>,
+    clock: ClockHandle,
+}
+
+impl<P: Payload> Lifecycle<P> {
+    pub(crate) fn new(core: Coordinator<P>, cache_capacity: usize, clock: ClockHandle) -> Self {
+        Lifecycle {
+            core: Mutex::new(core),
+            changed: Condvar::new(),
+            cache: ResultCache::with_capacity(cache_capacity),
+            metrics: Mutex::new(MetricsRegistry::new()),
+            clock,
+        }
+    }
+
+    /// The core; every transition happens under this lock.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Coordinator<P>> {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn metrics(&self) -> MutexGuard<'_, MetricsRegistry> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn incr(&self, name: &str) {
+        self.metrics().incr(name, 1);
+    }
+
+    pub(crate) fn observe(&self, name: &str, value: f64) {
+        self.metrics().observe(name, value);
+    }
+
+    /// Retires the terminal jobs whose poll-grace TTL has passed. Every
+    /// admission runs it, under the core lock.
+    pub(crate) fn retire(&self, core: &mut Coordinator<P>) {
+        let retired = core.retire_expired(self.clock.now());
+        if retired > 0 {
+            self.metrics().incr("jobs_retired", retired as u64);
+        }
+    }
+
+    /// The submission path: refused while draining; answered from the
+    /// result cache unless `fresh`; else admitted, coalescing onto an
+    /// identical in-flight job unless `fresh`.
+    pub(crate) fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
+        let digest = spec_digest(&spec);
+        let key = (!fresh).then(|| cache_preimage(&spec));
+        let mut core = self.lock();
+        self.retire(&mut core);
+        if let Some(key) = key.filter(|_| !core.is_draining()) {
+            match self.cache.get(digest, &key) {
+                CacheLookup::Hit(record) => {
+                    self.incr("cache_hits");
+                    return Submission::Cached(record);
+                }
+                // A 64-bit digest collision: treat it as a miss so the
+                // right spec executes, and surface it.
+                CacheLookup::Collision => self.incr("cache_key_collisions"),
+                CacheLookup::Miss => {}
+            }
+        }
+        let group = group_key(&spec);
+        let outcome = core.admit(P::bench(spec), &group, class, Some(digest), fresh);
+        drop(core);
+        match outcome {
+            Submission::Draining => self.incr("rejected_draining"),
+            Submission::Coalesced(_) => self.incr("coalesced"),
+            Submission::QueueFull => self.incr("rejected_queue_full"),
+            Submission::Queued(_) => {
+                self.incr("jobs_submitted");
+                self.incr(&format!("submitted_{}", class.label()));
+                self.changed.notify_all();
+            }
+            Submission::Cached(_) => {}
+        }
+        outcome
+    }
+
+    /// The result path: worker `w` ran job `id` to `record` in `exec_ms`.
+    /// The job goes done and its record enters the result cache under
+    /// the core lock, so an identical submission finds either the
+    /// in-flight job or its record, never neither. A late reply changes
+    /// nothing.
+    pub(crate) fn done(&self, w: usize, id: u64, record: RunRecord, exec_ms: f64) {
+        let mut core = self.lock();
+        let Some(job) = core.on_done(w, id, record) else {
+            return;
+        };
+        if let (Some(spec), Some(digest), JobState::Done(record)) =
+            (job.payload.spec(), job.digest, &job.state)
+        {
+            let outcome = self.cache.put(digest, &cache_preimage(spec), record);
+            if outcome.evicted {
+                self.incr("cache_evictions");
+            }
+            if outcome.collided {
+                self.incr("cache_key_collisions");
+            }
+        }
+        self.incr("jobs_executed");
+        self.observe("job_exec_ms", exec_ms);
+        drop(core);
+        self.changed.notify_all();
+    }
+
+    /// Worker `w` refused job `id` as invalid. A late reply changes
+    /// nothing.
+    pub(crate) fn invalid(&self, w: usize, id: u64, detail: &str) {
+        let mut core = self.lock();
+        if core.on_rejected(w, id, detail) {
+            self.incr("jobs_invalid");
+        }
+        drop(core);
+        self.changed.notify_all();
+    }
+
+    /// Closes admission and rejects every job still waiting in the
+    /// scheduler. Returns the rejected ids (empty after the first call).
+    pub(crate) fn begin_drain(&self, core: &mut Coordinator<P>) -> Vec<u64> {
+        let rejected = core.begin_drain();
+        if !rejected.is_empty() {
+            self.metrics()
+                .incr("rejected_draining", rejected.len() as u64);
+        }
+        self.changed.notify_all();
+        rejected
+    }
+
+    /// Blocks until every admitted job is terminal, and returns the core
+    /// still locked.
+    pub(crate) fn wait_quiescent(&self) -> MutexGuard<'_, Coordinator<P>> {
+        let mut core = self.lock();
+        while !core.quiescent() {
+            core = self
+                .changed
+                .wait(core)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        core
+    }
+
+    /// A snapshot of job `id`, or `None` for an unknown or retired id.
+    pub(crate) fn get(&self, id: u64) -> Option<JobSnapshot> {
+        self.lock().snapshot(id)
+    }
+
+    /// Long-poll: re-reads job `id`'s snapshot until it is terminal or
+    /// `wait` elapses, parking on `changed` between reads. `None` for an
+    /// unknown or retired id.
+    pub(crate) fn wait_terminal(&self, id: u64, wait: Duration) -> Option<JobSnapshot> {
+        let deadline = Instant::now() + wait;
+        let mut core = self.lock();
+        loop {
+            let snap = core.snapshot(id)?;
+            let now = Instant::now();
+            if snap.is_terminal() || now >= deadline {
+                return Some(snap);
+            }
+            core = self
+                .changed
+                .wait_timeout(core, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
     }
 }

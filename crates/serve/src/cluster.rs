@@ -19,14 +19,14 @@
 //! a worker blocked finishing its queue legitimately stops answering.
 //!
 //! Every one of those decisions — admission, coalescing, the DRR dispatch
-//! window, shard choice, reply handling, orphan fate, drain — is made by
-//! the sans-IO [`Coordinator`] state machine in [`crate::coord`], the
-//! same code the `sdvbs-sim` simulator runs under virtual time.
-//! [`ClusterEngine`] runs it over real I/O: it holds the state machine
-//! under a mutex, runs the link readers, the heartbeat monitor and the
-//! dispatcher as threads, speaks the wire protocol, owns the result cache
-//! above the state machine, and counts what each transition reports in
-//! its metrics.
+//! window, shard choice, reply handling, orphan fate, retirement, drain —
+//! is made by the sans-IO [`Coordinator`] state machine in
+//! [`crate::coord`], the same code the single-process engine and the
+//! `sdvbs-sim` simulator run. [`ClusterEngine`] runs it over real I/O:
+//! it holds the state machine and the result cache in the `Lifecycle`
+//! both backends share, runs the link readers, the heartbeat monitor and
+//! the dispatcher as threads, speaks the wire protocol, and counts what
+//! each transition reports in its metrics.
 //!
 //! Metrics and traces aggregate on demand: `/metrics` renders the
 //! coordinator's own registry plus each worker's, both folded into the
@@ -35,21 +35,21 @@
 //! [`merge_process_traces`] onto worker-labelled tracks, aligning each
 //! worker's trace epoch by the clock offset estimated at handshake.
 
-use crate::backend::Backend;
-use crate::cache::{cache_preimage, spec_digest, CacheLookup, ResultCache, DEFAULT_CACHE_CAPACITY};
-use crate::coord::{is_stale, CoordJob, Coordinator, JobState, OrphanDisposition, Step};
-use crate::engine::{wait_terminal, JobSnapshot, Submission};
+use crate::backend::{Backend, Lifecycle};
+use crate::cache::DEFAULT_CACHE_CAPACITY;
+use crate::coord::{is_stale, Coordinator, OrphanDisposition, Step};
+use crate::engine::{JobSnapshot, Submission};
 use crate::sched::{JobClass, SchedConfig};
 use crate::shutdown::DrainReport;
 use sdvbs_exec::ClockHandle;
-use sdvbs_runner::{Job, RunRecord};
+use sdvbs_runner::Job;
 use sdvbs_trace::{
     merge_process_traces, now_us, MetricsRegistry, ProcessTrace, TraceEvent, TrackId,
 };
 use sdvbs_wire::{tcp_pair, FrameRx, FrameTx, Message, WireError, PROTO_VERSION};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -69,8 +69,10 @@ pub struct ClusterConfig {
     /// identity: worker `i` is named `w<i>` in traces, metrics, and
     /// drain reports.
     pub workers: Vec<String>,
-    /// Admission bound: outstanding (admitted, non-terminal) jobs beyond
-    /// this are refused with [`Submission::QueueFull`].
+    /// Admission bound: jobs waiting in the scheduler, admitted and not
+    /// yet taken into the dispatch window. A submission that finds it
+    /// full is refused with [`Submission::QueueFull`]; jobs in the window
+    /// or on a worker do not count.
     pub queue_capacity: usize,
     /// Most jobs dispatched-and-unfinished on one worker before the
     /// dispatcher steals to another shard.
@@ -132,12 +134,8 @@ struct WorkerLink {
 /// The coordinator backend. Construct with [`ClusterEngine::start`];
 /// always behind an [`Arc`] because its service threads hold references.
 pub struct ClusterEngine {
-    /// The job lifecycle; every transition happens under this lock.
-    core: Mutex<Coordinator>,
-    /// Notified on every transition a waiter might care about.
-    changed: Condvar,
-    cache: ResultCache,
-    metrics: Mutex<MetricsRegistry>,
+    /// The job lifecycle and the result cache above it.
+    life: Lifecycle<Job>,
     links: Vec<Arc<WorkerLink>>,
     cfg: ClusterConfig,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -168,10 +166,11 @@ impl ClusterEngine {
             readers.push(rx);
         }
         let engine = Arc::new(ClusterEngine {
-            core: Mutex::new(Coordinator::new(links.len(), &cfg)),
-            changed: Condvar::new(),
-            cache: ResultCache::with_capacity(cfg.cache_capacity),
-            metrics: Mutex::new(MetricsRegistry::new()),
+            life: Lifecycle::new(
+                Coordinator::new(links.len(), &cfg),
+                cfg.cache_capacity,
+                cfg.clock.clone(),
+            ),
             links,
             cfg,
             threads: Mutex::new(Vec::new()),
@@ -210,7 +209,7 @@ impl ClusterEngine {
 
     /// Worker names still answering, in index order.
     pub fn alive_workers(&self) -> Vec<String> {
-        let core = self.lock_core();
+        let core = self.life.lock();
         self.links
             .iter()
             .filter(|l| core.is_alive(l.index))
@@ -218,24 +217,8 @@ impl ClusterEngine {
             .collect()
     }
 
-    fn lock_core(&self) -> std::sync::MutexGuard<'_, Coordinator> {
-        self.core.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn is_alive(&self, w: usize) -> bool {
-        self.lock_core().is_alive(w)
-    }
-
-    fn lock_metrics(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
-        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn incr(&self, name: &str) {
-        self.lock_metrics().incr(name, 1);
-    }
-
-    fn observe(&self, name: &str, value: f64) {
-        self.lock_metrics().observe(name, value);
+        self.life.lock().is_alive(w)
     }
 
     fn dispatch_loop(&self) {
@@ -243,30 +226,31 @@ impl ClusterEngine {
             // Step the state machine until it hands us a dispatch, or
             // learn that we are done.
             let (id, worker, spec) = {
-                let mut core = self.lock_core();
+                let mut core = self.life.lock();
                 loop {
                     match core.next_dispatch() {
                         Step::Dispatch {
                             id,
                             worker,
-                            spec,
+                            payload,
                             stolen,
                             ..
                         } => {
                             if stolen {
-                                self.incr("jobs_stolen");
+                                self.life.incr("jobs_stolen");
                             }
-                            break (id, worker, spec);
+                            break (id, worker, payload);
                         }
-                        Step::Batch(len) => self.observe("batch_size", len as f64),
+                        Step::Batch(len) => self.life.observe("batch_size", len as f64),
                         Step::NoWorkers(_) => {
-                            self.incr("jobs_quarantined");
-                            self.changed.notify_all();
+                            self.life.incr("jobs_quarantined");
+                            self.life.changed.notify_all();
                         }
                         Step::Full => {
                             // A completion or death frees a slot and
                             // notifies.
                             core = self
+                                .life
                                 .changed
                                 .wait_timeout(core, Duration::from_millis(50))
                                 .unwrap_or_else(PoisonError::into_inner)
@@ -277,6 +261,7 @@ impl ClusterEngine {
                                 return;
                             }
                             core = self
+                                .life
                                 .changed
                                 .wait(core)
                                 .unwrap_or_else(PoisonError::into_inner);
@@ -299,18 +284,16 @@ impl ClusterEngine {
         let w = link.index;
         loop {
             match rx.recv() {
-                Ok(Message::Done { id, record }) => self.job_done(w, id, *record),
-                Ok(Message::Rejected { id, detail }) => {
-                    if self.lock_core().on_rejected(w, id, &detail) {
-                        self.incr("jobs_invalid");
-                    }
-                    self.changed.notify_all();
+                Ok(Message::Done { id, record }) => {
+                    let wall_ms = record.wall_ms;
+                    self.life.done(w, id, *record, wall_ms);
                 }
+                Ok(Message::Rejected { id, detail }) => self.life.invalid(w, id, &detail),
                 Ok(Message::Busy { id }) => {
-                    if self.lock_core().on_busy(w, id) {
-                        self.incr("busy_redispatched");
+                    if self.life.lock().on_busy(w, id) {
+                        self.life.incr("busy_redispatched");
                     }
-                    self.changed.notify_all();
+                    self.life.changed.notify_all();
                 }
                 Ok(Message::HeartbeatOk { now_us: theirs, .. }) => {
                     *link
@@ -344,7 +327,7 @@ impl ClusterEngine {
     /// had in flight. Idempotent; during shutdown teardown it only takes
     /// the worker out of service.
     fn mark_dead(&self, w: usize, why: &str) {
-        let mut core = self.lock_core();
+        let mut core = self.life.lock();
         if self.stopping.load(Ordering::SeqCst) {
             core.retire(w);
             return;
@@ -354,49 +337,22 @@ impl ClusterEngine {
         };
         drop(core);
         eprintln!("worker {} declared dead: {why}", self.links[w].name);
-        self.incr("workers_died");
+        self.life.incr("workers_died");
         for (_, fate) in orphans {
-            self.incr(match fate {
+            self.life.incr(match fate {
                 OrphanDisposition::Quarantine => "jobs_quarantined",
                 OrphanDisposition::RejectDraining => "rejected_draining",
                 OrphanDisposition::Requeue => "jobs_requeued",
             });
         }
-        self.changed.notify_all();
-    }
-
-    fn job_done(&self, w: usize, id: u64, record: RunRecord) {
-        let wall_ms = record.wall_ms;
-        let mut core = self.lock_core();
-        let Some(CoordJob {
-            spec,
-            digest,
-            state: JobState::Done(record),
-            ..
-        }) = core.on_done(w, id, record)
-        else {
-            return; // A late reply: nothing changed.
-        };
-        // Cached under the core lock, so an identical submission finds
-        // either the in-flight job or its record, never neither.
-        let outcome = self.cache.put(*digest, &cache_preimage(spec), record);
-        drop(core);
-        if outcome.evicted {
-            self.incr("cache_evictions");
-        }
-        if outcome.collided {
-            self.incr("cache_key_collisions");
-        }
-        self.observe("job_exec_ms", wall_ms);
-        self.incr("jobs_executed");
-        self.changed.notify_all();
+        self.life.changed.notify_all();
     }
 
     fn heartbeat_loop(&self) {
         let mut seq = 0u64;
         while !self.stopping.load(Ordering::SeqCst) {
             seq += 1;
-            let draining = self.lock_core().is_draining();
+            let draining = self.life.lock().is_draining();
             for (w, link) in self.links.iter().enumerate() {
                 if !self.is_alive(w) {
                     continue;
@@ -444,69 +400,27 @@ impl ClusterEngine {
 
 impl Backend for ClusterEngine {
     fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
-        let digest = spec_digest(&spec);
-        let key = (!fresh).then(|| cache_preimage(&spec));
-        let mut core = self.lock_core();
-        if let Some(key) = key.filter(|_| !core.is_draining()) {
-            match self.cache.get(digest, &key) {
-                CacheLookup::Hit(record) => {
-                    self.incr("cache_hits");
-                    return Submission::Cached(record);
-                }
-                CacheLookup::Collision => self.incr("cache_key_collisions"),
-                CacheLookup::Miss => {}
-            }
-        }
-        let outcome = core.admit(spec, digest, class, fresh);
-        drop(core);
-        match outcome {
-            Submission::Draining => self.incr("rejected_draining"),
-            Submission::Coalesced(_) => self.incr("coalesced"),
-            Submission::QueueFull => self.incr("rejected_queue_full"),
-            Submission::Queued(_) => {
-                self.incr("jobs_submitted");
-                self.incr(&format!("submitted_{}", class.label()));
-                self.changed.notify_all();
-            }
-            Submission::Cached(_) => {}
-        }
-        outcome
+        self.life.submit(spec, fresh, class)
     }
 
     fn get(&self, id: u64) -> Option<JobSnapshot> {
-        self.lock_core().snapshot(id)
+        self.life.get(id)
     }
 
     fn wait_terminal(&self, id: u64, wait: Duration) -> Option<JobSnapshot> {
-        wait_terminal(&self.changed, self.lock_core(), wait, |core| {
-            core.snapshot(id)
-        })
+        self.life.wait_terminal(id, wait)
     }
 
     fn begin_drain(&self) {
-        // Everything admitted but not yet dispatched is rejected — the
-        // cluster analog of the engine popping and rejecting its queue.
-        let rejected = self.lock_core().begin_drain();
-        for _ in rejected {
-            self.incr("rejected_draining");
-        }
-        self.changed.notify_all();
+        // Everything admitted but not yet dispatched is rejected.
+        self.life.begin_drain(&mut self.life.lock());
     }
 
     fn drain(&self) -> DrainReport {
         self.begin_drain();
         // Wait for every dispatched job to resolve (a worker death mid-
         // drain resolves its orphans via `mark_dead`).
-        let report = {
-            let mut core = self.lock_core();
-            while !core.quiescent() {
-                core = self
-                    .changed
-                    .wait(core)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            core.drain_report()
-        };
+        let report = self.life.wait_quiescent().drain_report();
         // Tear the cluster down: tell each surviving worker to drain and
         // exit. From here on link closure is shutdown, not death.
         self.stopping.store(true, Ordering::SeqCst);
@@ -515,9 +429,9 @@ impl Backend for ClusterEngine {
                 continue;
             }
             let _ = self.rpc(link, Message::Drain, "drain_ok");
-            self.lock_core().retire(link.index);
+            self.life.lock().retire(link.index);
         }
-        self.changed.notify_all();
+        self.life.changed.notify_all();
         let handles: Vec<_> = self
             .threads
             .lock()
@@ -531,12 +445,12 @@ impl Backend for ClusterEngine {
     }
 
     fn is_draining(&self) -> bool {
-        self.lock_core().is_draining()
+        self.life.lock().is_draining()
     }
 
     fn metrics_text(&self) -> String {
         let mut agg = MetricsRegistry::new();
-        agg.merge(&self.lock_metrics());
+        agg.merge(&self.life.metrics());
         for link in &self.links {
             if !self.is_alive(link.index) {
                 continue;
@@ -562,11 +476,11 @@ impl Backend for ClusterEngine {
     }
 
     fn merge_metrics(&self, other: &MetricsRegistry) {
-        self.lock_metrics().merge(other);
+        self.life.metrics().merge(other);
     }
 
     fn counter(&self, name: &str) -> u64 {
-        self.lock_metrics().counter(name)
+        self.life.metrics().counter(name)
     }
 
     fn trace_events(&self) -> Vec<TraceEvent> {
@@ -599,7 +513,7 @@ impl Backend for ClusterEngine {
 
     fn health_extra(&self) -> Option<String> {
         let alive = self.alive_workers();
-        let dead = self.lock_core().dead_workers().to_vec();
+        let dead = self.life.lock().dead_workers().to_vec();
         let names = |list: &[String]| {
             list.iter()
                 .map(|n| format!("\"{n}\""))

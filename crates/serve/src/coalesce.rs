@@ -4,13 +4,14 @@
 //! the same spec should not enqueue a duplicate execution — it attaches to
 //! the in-flight job and polls the same job id. The [`InflightMap`] is the
 //! digest → job-id index that makes that attachment; it is **not**
-//! internally locked because the engine mutates it only under its own
-//! state lock, where the claim/release transitions are atomic with the
+//! internally locked because the job-lifecycle core
+//! ([`crate::coord::Coordinator`]) mutates it only under its backend's
+//! lock, where the claim/release transitions are atomic with the
 //! job-table updates they describe.
 
 use std::collections::HashMap;
 
-/// Digest → in-flight job id. Owned by the engine's state mutex.
+/// Digest → in-flight job id. Owned by the coordinator core.
 #[derive(Debug, Default)]
 pub struct InflightMap {
     inner: HashMap<u64, u64>,

@@ -1,18 +1,40 @@
-//! The coordinator's job lifecycle as one sans-IO state machine.
+//! The job lifecycle of both backends as one sans-IO state machine.
 //!
 //! [`Coordinator`] owns the job table, request coalescing
-//! ([`InflightMap`]), the deficit-round-robin pending queue with its
-//! current dispatch window, admission and drain state, each worker's
-//! alive flag and dispatched set, and the names of dead workers. It has
-//! no locks, threads, sockets or clock reads: each transition takes one
-//! event and returns what happened, so its caller can count it, log it
-//! or send it. Two callers run it — [`crate::cluster::ClusterEngine`]
-//! from its threads, and the `sdvbs-sim` simulator from a single-threaded
-//! event loop under virtual time and seeded faults — so a bug the
-//! simulator finds is a bug in this code. The pure policies it applies
-//! ([`pick_target`], [`orphan_disposition`], [`RetryPolicy`]) and the
-//! staleness rule both callers apply to their heartbeat clocks
-//! ([`is_stale`]) are public functions here.
+//! ([`InflightMap`]), the deficit-round-robin pending queue with the
+//! cluster's current dispatch window, admission, retirement and drain
+//! state, the terminal counters both drain-report scopes come from, each
+//! worker's alive flag and dispatched set, and the names of dead workers.
+//! It has no locks, threads, sockets or clock reads: each transition
+//! takes one event and returns what happened, so its caller can count
+//! it, log it or send it. Three drivers run it:
+//!
+//! * [`crate::engine::Engine`], whose worker threads each pull a whole DRR
+//!   batch ([`Coordinator::pop_batch`]) and start its jobs in order
+//!   ([`Coordinator::start`]), so a batch runs warm on one thread;
+//! * [`crate::cluster::ClusterEngine`], whose dispatcher thread picks a
+//!   worker process for each job of the window
+//!   ([`Coordinator::next_dispatch`]);
+//! * the `sdvbs-sim` simulator, from a single-threaded event loop under
+//!   virtual time and seeded faults — so a bug the simulator finds is a
+//!   bug in this code.
+//!
+//! The pure policies it applies ([`pick_target`], [`orphan_disposition`],
+//! [`RetryPolicy`]) and the staleness rule the cluster drivers apply to
+//! their heartbeat clocks ([`is_stale`]) are public functions here.
+//!
+//! ## Admission and retirement
+//!
+//! The admission bound counts the jobs *waiting in the scheduler*:
+//! admitted, and not yet taken into a dispatch window (a pulled engine
+//! batch, or the cluster's current window). A terminal job stays
+//! pollable for the retire TTL and then leaves the table; ids stay
+//! monotone, and a retired id reads as unknown (`404`).
+//! [`Coordinator::retire_expired`] takes the caller's clock reading: it
+//! stamps the jobs that went terminal since the previous call with it,
+//! then retires, in terminal order, those whose stamp plus the TTL has
+//! passed. Each call costs O(retired), and a stamp is never earlier than
+//! the transition it stamps, so no job retires before its TTL.
 //!
 //! ## Attempt accounting (unified with the runner)
 //!
@@ -36,12 +58,19 @@
 
 use crate::cluster::ClusterConfig;
 use crate::coalesce::InflightMap;
-use crate::engine::{group_key, JobSnapshot, Submission};
-use crate::sched::{Drr, JobClass};
+use crate::engine::{EngineConfig, JobSnapshot, Submission};
+use crate::sched::{Batch, Drr, JobClass};
 use crate::shutdown::DrainReport;
 use sdvbs_runner::{Job, RunRecord};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
+
+/// How long a terminal job stays pollable before it is retired: the
+/// default of [`EngineConfig::retire_ttl`], and the cluster's TTL.
+pub const DEFAULT_RETIRE_TTL: Duration = Duration::from_secs(300);
+
+/// Why a job admitted but not started when a drain began was rejected.
+const DRAIN_REJECTION: &str = "server shutting down before execution";
 
 /// How many times a job may fail before it is quarantined: the initial
 /// execution plus `budget` retries.
@@ -133,14 +162,16 @@ pub fn is_stale(age: Duration, liveness: Duration, draining: bool) -> bool {
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobState {
-    /// Admitted, waiting for the dispatcher.
+    /// Admitted, waiting in the scheduler or a dispatch window.
     Pending,
-    /// Dispatched to worker `i`, awaiting its result.
+    /// Dispatched to worker (or engine thread) `i`, awaiting its result.
     Dispatched(usize),
     /// Finished with a record.
     Done(Box<RunRecord>),
-    /// Refused without a result (drain, or a worker-side validation
-    /// error).
+    /// Finished without a record; the string is the payload's one-line
+    /// summary (a stream frame's pipeline result).
+    Finished(String),
+    /// Refused without a result (drain, or a validation error).
     Rejected(String),
     /// Abandoned after exhausting the retry budget across worker deaths,
     /// or because no worker was left alive.
@@ -149,11 +180,15 @@ pub enum JobState {
 
 /// One admitted job.
 #[derive(Debug, Clone)]
-pub struct CoordJob {
-    /// The spec a worker executes.
-    pub spec: Job,
-    /// `spec_digest(&spec)`: the shard key and coalescing key.
-    pub digest: u64,
+pub struct CoordJob<P = Job> {
+    /// What a worker executes: a benchmark spec, or (in the engine) a
+    /// stream frame.
+    pub payload: P,
+    /// `spec_digest` of the spec: the coalescing and shard key. `None`
+    /// for a job that never coalesces (a stream frame).
+    pub digest: Option<u64>,
+    /// The scheduler group it batches under.
+    pub group: String,
     /// The QoS class it was admitted in.
     pub class: JobClass,
     /// Lifecycle state.
@@ -164,7 +199,7 @@ pub struct CoordJob {
 
 /// One step of the dispatcher; see [`Coordinator::next_dispatch`].
 #[derive(Debug, Clone)]
-pub enum Step {
+pub enum Step<P = Job> {
     /// A DRR batch of this many jobs entered the dispatch window.
     Batch(usize),
     /// Send job `id` to `worker`: its `attempt`-th execution, `stolen`
@@ -174,8 +209,8 @@ pub enum Step {
         id: u64,
         /// The target worker's index.
         worker: usize,
-        /// The spec to send.
-        spec: Job,
+        /// The payload to send.
+        payload: P,
         /// Executions begun, this one included.
         attempt: u32,
         /// Whether the target is off the job's home shard.
@@ -191,20 +226,38 @@ pub enum Step {
     Idle,
 }
 
-/// The coordinator's job lifecycle. See the module docs.
+/// Counts of terminal transitions by outcome.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    completed: usize,
+    rejected: usize,
+    quarantined: usize,
+}
+
+/// The job lifecycle. See the module docs.
 #[derive(Debug)]
-pub struct Coordinator {
-    jobs: Vec<CoordJob>,
+pub struct Coordinator<P = Job> {
+    /// Admitted jobs by id, until retired.
+    jobs: BTreeMap<u64, CoordJob<P>>,
+    next_id: u64,
     inflight: InflightMap,
     /// Admitted-not-dispatched jobs, scheduled by deficit round robin
     /// across QoS classes with benchmark×size batching.
     pending: Drr,
-    /// The batch the dispatcher is working through (popped from
+    /// The batch the cluster dispatcher is working through (popped from
     /// `pending`; drain rejects these too).
     current: VecDeque<u64>,
     /// Admitted, non-terminal jobs.
     outstanding: usize,
-    draining: bool,
+    /// Lifetime terminal transitions.
+    totals: Tally,
+    /// `totals` when the drain began; `Some` once draining.
+    drain_base: Option<Tally>,
+    /// Jobs gone terminal since the last [`Coordinator::retire_expired`].
+    unstamped: Vec<u64>,
+    /// Stamped terminal jobs in terminal order: `(stamp, id)`.
+    retiring: VecDeque<(Duration, u64)>,
+    retire_ttl: Duration,
     /// Per worker, the jobs dispatched to it and not yet answered, or
     /// `None` once it is out of service. Ordered, so a death requeues
     /// its orphans deterministically.
@@ -215,18 +268,23 @@ pub struct Coordinator {
     retry: RetryPolicy,
 }
 
-impl Coordinator {
+impl<P: Clone> Coordinator<P> {
     /// A coordinator over `workers` workers (named by [`worker_name`]), all
     /// alive, with `cfg`'s admission bound, in-flight cap, retry budget
-    /// and scheduler knobs.
-    pub fn new(workers: usize, cfg: &ClusterConfig) -> Coordinator {
+    /// and scheduler knobs, retiring after [`DEFAULT_RETIRE_TTL`].
+    pub fn new(workers: usize, cfg: &ClusterConfig) -> Self {
         Coordinator {
-            jobs: Vec::new(),
+            jobs: BTreeMap::new(),
+            next_id: 0,
             inflight: InflightMap::new(),
             pending: Drr::new(cfg.sched.clone()),
             current: VecDeque::new(),
             outstanding: 0,
-            draining: false,
+            totals: Tally::default(),
+            drain_base: None,
+            unstamped: Vec::new(),
+            retiring: VecDeque::new(),
+            retire_ttl: DEFAULT_RETIRE_TTL,
             workers: vec![Some(BTreeSet::new()); workers],
             dead: Vec::new(),
             queue_capacity: cfg.queue_capacity.max(1),
@@ -237,42 +295,116 @@ impl Coordinator {
         }
     }
 
-    /// Admits a submission: refused while draining, attached to an
-    /// identical in-flight job unless `fresh`, refused when `outstanding`
-    /// jobs fill the admission bound, else queued under a new id. Never
-    /// answers [`Submission::Cached`]: the result cache sits above the
-    /// state machine, in the caller.
-    pub fn admit(&mut self, spec: Job, digest: u64, class: JobClass, fresh: bool) -> Submission {
-        if self.draining {
+    /// The core of a single-process engine: one worker per engine thread,
+    /// with `cfg`'s admission bound, scheduler knobs and retire TTL.
+    pub fn local(cfg: &EngineConfig) -> Self {
+        let limits = ClusterConfig {
+            queue_capacity: cfg.queue_capacity,
+            sched: cfg.sched.clone(),
+            ..ClusterConfig::default()
+        };
+        Coordinator {
+            retire_ttl: cfg.retire_ttl,
+            ..Coordinator::new(cfg.workers.max(1), &limits)
+        }
+    }
+
+    /// Stamps the jobs that went terminal since the previous call with
+    /// `now`, then retires every job whose stamp plus the TTL has passed.
+    /// Returns how many left the table. See the module docs.
+    pub fn retire_expired(&mut self, now: Duration) -> usize {
+        self.retiring
+            .extend(self.unstamped.drain(..).map(|id| (now, id)));
+        let mut retired = 0;
+        while let Some(&(stamp, id)) = self.retiring.front() {
+            if stamp + self.retire_ttl > now {
+                break;
+            }
+            self.retiring.pop_front();
+            self.jobs.remove(&id);
+            retired += 1;
+        }
+        retired
+    }
+
+    /// Admits `payload` into scheduler `group`: refused while draining,
+    /// attached to the in-flight job with the same `digest` unless `fresh`
+    /// (a job without a digest never coalesces), refused when the jobs
+    /// waiting in the scheduler fill the admission bound, else queued
+    /// under a new id. Never answers [`Submission::Cached`]: the result
+    /// cache sits above the state machine, in the caller.
+    pub fn admit(
+        &mut self,
+        payload: P,
+        group: &str,
+        class: JobClass,
+        digest: Option<u64>,
+        fresh: bool,
+    ) -> Submission {
+        if self.is_draining() {
             return Submission::Draining;
         }
-        if !fresh {
-            if let Some(id) = self.inflight.get(digest) {
-                return Submission::Coalesced(id);
-            }
+        if let Some(id) = digest.filter(|_| !fresh).and_then(|d| self.inflight.get(d)) {
+            return Submission::Coalesced(id);
         }
-        if self.outstanding >= self.queue_capacity {
+        if self.pending.len() >= self.queue_capacity {
             return Submission::QueueFull;
         }
-        let id = self.jobs.len() as u64;
-        self.pending.push_back(id, &group_key(&spec), class);
-        self.inflight.claim(digest, id);
-        self.jobs.push(CoordJob {
-            spec,
-            digest,
-            class,
-            state: JobState::Pending,
-            attempts: 0,
-        });
+        let id = self.next_id;
+        self.next_id += 1;
+        self.pending.push_back(id, group, class);
+        if let Some(digest) = digest {
+            self.inflight.claim(digest, id);
+        }
+        self.jobs.insert(
+            id,
+            CoordJob {
+                payload,
+                digest,
+                group: group.to_string(),
+                class,
+                state: JobState::Pending,
+                attempts: 0,
+            },
+        );
         self.outstanding += 1;
         Submission::Queued(id)
+    }
+
+    /// Takes the next DRR batch out of the scheduler, for an engine thread
+    /// to start job by job ([`Coordinator::start`]). Its jobs no longer
+    /// count against the admission bound.
+    pub fn pop_batch(&mut self) -> Option<Batch> {
+        self.pending.pop_batch()
+    }
+
+    /// Engine thread `w` reaches job `id` of a batch it pulled. `Ok`
+    /// hands back the payload to run, the job now dispatched to `w`. Once
+    /// a drain has begun the job is rejected unstarted instead, and `Err`
+    /// hands the payload back for the caller's bookkeeping.
+    pub fn start(&mut self, id: u64, w: usize) -> Result<P, P> {
+        let job = self
+            .jobs
+            .get_mut(&id)
+            .expect("a pulled job stays in the table until it is terminal");
+        let payload = job.payload.clone();
+        if self.drain_base.is_some() {
+            self.finish(id, JobState::Rejected(DRAIN_REJECTION.into()));
+            return Err(payload);
+        }
+        job.state = JobState::Dispatched(w);
+        job.attempts += 1;
+        if let Some(Some(held)) = self.workers.get_mut(w) {
+            held.insert(id);
+        }
+        Ok(payload)
     }
 
     /// Advances the dispatcher by one step: refills an empty dispatch
     /// window with the next DRR batch, or takes the window's front job
     /// and picks its worker ([`pick_target`]). The caller repeats this
     /// until it answers [`Step::Full`] or [`Step::Idle`].
-    pub fn next_dispatch(&mut self) -> Step {
+    pub fn next_dispatch(&mut self) -> Step<P> {
         let Some(&id) = self.current.front() else {
             return match self.pending.pop_batch() {
                 Some(batch) => {
@@ -296,8 +428,9 @@ impl Coordinator {
             .iter()
             .map(|held| held.as_ref().map_or(0, BTreeSet::len))
             .collect();
-        let job = &mut self.jobs[id as usize];
-        let Some(w) = pick_target(job.digest, &alive, &inflight, self.per_worker_inflight) else {
+        let job = self.jobs.get_mut(&id).expect("a windowed job is live");
+        let digest = job.digest.unwrap_or_default();
+        let Some(w) = pick_target(digest, &alive, &inflight, self.per_worker_inflight) else {
             return Step::Full;
         };
         self.current.pop_front();
@@ -309,30 +442,33 @@ impl Coordinator {
         Step::Dispatch {
             id,
             worker: w,
-            spec: job.spec.clone(),
+            payload: job.payload.clone(),
             attempt: job.attempts,
-            stolen: w as u64 != job.digest % self.workers.len() as u64,
+            stolen: w as u64 != digest % self.workers.len() as u64,
         }
     }
 
     /// Worker `w` finished job `id` with `record`. Returns the job, now
     /// done, or `None` when `w` no longer held it (a late reply).
-    pub fn on_done(&mut self, w: usize, id: u64, record: RunRecord) -> Option<&CoordJob> {
-        if !self.answer(w, id) {
-            return None;
-        }
-        self.finish(id, JobState::Done(Box::new(record)));
-        Some(&self.jobs[id as usize])
+    pub fn on_done(&mut self, w: usize, id: u64, record: RunRecord) -> Option<&CoordJob<P>> {
+        self.on_result(w, id, JobState::Done(Box::new(record)))
     }
 
     /// Worker `w` refused job `id` as invalid. Returns whether the reply
     /// applied (`false` for a late reply).
     pub fn on_rejected(&mut self, w: usize, id: u64, detail: &str) -> bool {
-        let held = self.answer(w, id);
-        if held {
-            self.finish(id, JobState::Rejected(detail.to_string()));
+        self.on_result(w, id, JobState::Rejected(detail.to_string()))
+            .is_some()
+    }
+
+    /// Worker `w` ended job `id` in the terminal state `outcome`. Returns
+    /// the job, or `None` when `w` no longer held it (a late reply).
+    pub fn on_result(&mut self, w: usize, id: u64, outcome: JobState) -> Option<&CoordJob<P>> {
+        if !self.answer(w, id) {
+            return None;
         }
-        held
+        self.finish(id, outcome);
+        self.jobs.get(&id)
     }
 
     /// Worker `w`'s queue was full: job `id` goes back to the pending
@@ -341,11 +477,10 @@ impl Coordinator {
     /// whether the reply applied (`false` for a late reply).
     pub fn on_busy(&mut self, w: usize, id: u64) -> bool {
         let held = self.answer(w, id);
-        if held {
-            let job = &mut self.jobs[id as usize];
+        if let Some(job) = self.jobs.get_mut(&id).filter(|_| held) {
             job.state = JobState::Pending;
             job.attempts = job.attempts.saturating_sub(1);
-            self.pending.push_back(id, &group_key(&job.spec), job.class);
+            self.pending.push_back(id, &job.group, job.class);
         }
         held
     }
@@ -362,10 +497,11 @@ impl Coordinator {
         // Highest id first: each requeue goes to the front of the window,
         // so orphans end up in id order, ahead of later arrivals.
         for id in orphans.into_iter().rev() {
-            let attempts = self.jobs[id as usize].attempts;
+            let job = self.jobs.get_mut(&id).expect("a dispatched job is live");
+            let attempts = job.attempts;
             // Every execution so far has failed (the last one just died
             // with its worker), so `attempts` *is* the failed count.
-            let fate = orphan_disposition(attempts, self.retry, self.draining);
+            let fate = orphan_disposition(attempts, self.retry, self.drain_base.is_some());
             match fate {
                 OrphanDisposition::Quarantine => self.finish(
                     id,
@@ -381,7 +517,7 @@ impl Coordinator {
                     JobState::Rejected(format!("worker {name} died during drain")),
                 ),
                 OrphanDisposition::Requeue => {
-                    self.jobs[id as usize].state = JobState::Pending;
+                    job.state = JobState::Pending;
                     self.current.push_front(id);
                 }
             }
@@ -400,21 +536,18 @@ impl Coordinator {
         }
     }
 
-    /// Starts a drain: admission closes, and every admitted but
-    /// undispatched job — the dispatch window included — is rejected.
-    /// Returns the rejected ids; empty when a drain had already begun.
+    /// Starts a drain: admission closes, and every job still waiting in
+    /// the scheduler or the dispatch window is rejected. Returns the
+    /// rejected ids; empty when a drain had already begun.
     pub fn begin_drain(&mut self) -> Vec<u64> {
-        if self.draining {
+        if self.is_draining() {
             return Vec::new();
         }
-        self.draining = true;
+        self.drain_base = Some(self.totals);
         let mut ids: Vec<u64> = self.current.drain(..).collect();
         ids.extend(self.pending.drain_all());
         for &id in &ids {
-            self.finish(
-                id,
-                JobState::Rejected("server shutting down before execution".into()),
-            );
+            self.finish(id, JobState::Rejected(DRAIN_REJECTION.into()));
         }
         ids
     }
@@ -424,30 +557,27 @@ impl Coordinator {
         self.outstanding == 0
     }
 
-    /// Lifetime totals of terminal jobs, and the dead workers by name.
+    /// The cluster's drain report: lifetime totals of terminal jobs, and
+    /// the dead workers by name.
     pub fn drain_report(&self) -> DrainReport {
-        let mut report = DrainReport {
-            dead_workers: self.dead.clone(),
-            ..DrainReport::default()
-        };
-        for job in &self.jobs {
-            match job.state {
-                JobState::Done(_) => report.completed += 1,
-                JobState::Rejected(_) => report.rejected += 1,
-                JobState::Quarantined(_) => report.quarantined += 1,
-                JobState::Pending | JobState::Dispatched(_) => {}
-            }
-        }
-        report
+        self.report_since(Tally::default())
     }
 
-    /// Job `id`'s externally visible state, or `None` for an unknown id.
+    /// The engine's drain report: only the jobs that went terminal since
+    /// the drain began — exactly the jobs open when it began, since
+    /// admission closed with it. Empty before a drain.
+    pub fn drain_work_report(&self) -> DrainReport {
+        self.report_since(self.drain_base.unwrap_or(self.totals))
+    }
+
+    /// Job `id`'s externally visible state, or `None` for an unknown or
+    /// retired id.
     pub fn snapshot(&self, id: u64) -> Option<JobSnapshot> {
-        let job = self.jobs.get(id as usize)?;
-        let (state, record, detail) = match &job.state {
+        let (state, record, detail) = match &self.jobs.get(&id)?.state {
             JobState::Pending => ("queued", None, String::new()),
             JobState::Dispatched(_) => ("running", None, String::new()),
             JobState::Done(record) => ("done", Some(record.as_ref().clone()), String::new()),
+            JobState::Finished(summary) => ("done", None, summary.clone()),
             JobState::Rejected(why) | JobState::Quarantined(why) => ("rejected", None, why.clone()),
         };
         Some(JobSnapshot {
@@ -458,9 +588,20 @@ impl Coordinator {
         })
     }
 
-    /// Every admitted job, indexed by id.
-    pub fn jobs(&self) -> &[CoordJob] {
-        &self.jobs
+    /// Job `id`, or `None` for an unknown or retired id.
+    pub fn job(&self, id: u64) -> Option<&CoordJob<P>> {
+        self.jobs.get(&id)
+    }
+
+    /// Every job still in the table, in id order.
+    pub fn jobs(&self) -> impl Iterator<Item = (u64, &CoordJob<P>)> {
+        self.jobs.iter().map(|(&id, job)| (id, job))
+    }
+
+    /// Entries in the job table: open jobs plus terminal ones not yet
+    /// retired.
+    pub fn table_len(&self) -> usize {
+        self.jobs.len()
     }
 
     /// Whether worker `w` is in service.
@@ -470,7 +611,7 @@ impl Coordinator {
 
     /// Whether a drain has begun.
     pub fn is_draining(&self) -> bool {
-        self.draining
+        self.drain_base.is_some()
     }
 
     /// Names of the workers declared dead, in declaration order.
@@ -486,18 +627,41 @@ impl Coordinator {
             held.remove(&id);
         }
         matches!(
-            self.jobs.get(id as usize).map(|job| &job.state),
+            self.jobs.get(&id).map(|job| &job.state),
             Some(JobState::Dispatched(d)) if *d == w
         )
     }
 
-    /// Moves job `id` to a terminal state and releases its coalescing
-    /// claim: the one place a job stops being outstanding.
+    /// Moves job `id` to a terminal state, counts it and releases its
+    /// coalescing claim: the one place a job stops being outstanding.
     fn finish(&mut self, id: u64, terminal: JobState) {
-        let job = &mut self.jobs[id as usize];
+        let job = self
+            .jobs
+            .get_mut(&id)
+            .expect("only a live job goes terminal");
+        match terminal {
+            JobState::Done(_) | JobState::Finished(_) => self.totals.completed += 1,
+            JobState::Rejected(_) => self.totals.rejected += 1,
+            JobState::Quarantined(_) => self.totals.quarantined += 1,
+            JobState::Pending | JobState::Dispatched(_) => {
+                unreachable!("finish takes a terminal state")
+            }
+        }
         job.state = terminal;
-        self.inflight.release(job.digest, id);
+        if let Some(digest) = job.digest {
+            self.inflight.release(digest, id);
+        }
         self.outstanding -= 1;
+        self.unstamped.push(id);
+    }
+
+    fn report_since(&self, base: Tally) -> DrainReport {
+        DrainReport {
+            completed: self.totals.completed - base.completed,
+            rejected: self.totals.rejected - base.rejected,
+            quarantined: self.totals.quarantined - base.quarantined,
+            dead_workers: self.dead.clone(),
+        }
     }
 }
 
@@ -516,7 +680,7 @@ mod tests {
 
     /// Admits a job whose digest homes it on worker `digest % workers`.
     fn queued(c: &mut Coordinator, digest: u64) -> u64 {
-        match c.admit(spec(digest), digest, JobClass::Interactive, true) {
+        match c.admit(spec(digest), "g", JobClass::Interactive, Some(digest), true) {
             Submission::Queued(id) => id,
             other => panic!("expected Queued, got {other:?}"),
         }
@@ -621,18 +785,18 @@ mod tests {
         );
         let id = queued(&mut c, 7);
         assert!(matches!(
-            c.admit(spec(7), 7, JobClass::Interactive, false),
+            c.admit(spec(7), "g", JobClass::Interactive, Some(7), false),
             Submission::Coalesced(x) if x == id
         ));
         queued(&mut c, 7);
         assert!(matches!(
-            c.admit(spec(8), 8, JobClass::Batch, true),
+            c.admit(spec(8), "g", JobClass::Batch, Some(8), true),
             Submission::QueueFull
         ));
         assert_eq!(c.begin_drain(), vec![0, 1]);
         assert!(c.quiescent());
         assert!(matches!(
-            c.admit(spec(9), 9, JobClass::Interactive, true),
+            c.admit(spec(9), "g", JobClass::Interactive, Some(9), true),
             Submission::Draining
         ));
         assert_eq!(c.drain_report().rejected, 2);
@@ -685,7 +849,7 @@ mod tests {
         assert_eq!(dispatch(&mut c), (id, 1, 2, true));
 
         assert!(!c.on_busy(0, id), "w0 no longer holds the job");
-        let job = &c.jobs()[id as usize];
+        let job = c.job(id).expect("admitted");
         assert_eq!(job.state, JobState::Dispatched(1));
         assert_eq!(job.attempts, 2);
         assert!(matches!(c.next_dispatch(), Step::Idle), "nothing pending");
@@ -693,7 +857,7 @@ mod tests {
         // The same holds for a late result or refusal ...
         assert!(c.on_done(0, id, record()).is_none());
         assert!(!c.on_rejected(0, id, "late"));
-        assert_eq!(c.jobs()[id as usize].state, JobState::Dispatched(1));
+        assert_eq!(c.job(id).expect("admitted").state, JobState::Dispatched(1));
         // ... while the holder's own reply still lands.
         assert!(c.on_done(1, id, record()).is_some());
         assert!(c.quiescent());
@@ -705,8 +869,62 @@ mod tests {
         let id = queued(&mut c, 0);
         dispatch(&mut c);
         assert!(c.on_busy(0, id));
-        assert_eq!(c.jobs()[id as usize].attempts, 0);
+        assert_eq!(c.job(id).expect("admitted").attempts, 0);
         assert_eq!(c.snapshot(id).expect("admitted").state, "queued");
         assert_eq!(dispatch(&mut c).2, 1);
+    }
+
+    /// The admission bound counts jobs waiting in the scheduler, not
+    /// outstanding ones: once a job is taken into a dispatch window its
+    /// slot is free, even while it runs.
+    #[test]
+    fn a_dispatched_job_frees_its_admission_slot() {
+        let mut c = Coordinator::new(
+            1,
+            &ClusterConfig {
+                queue_capacity: 1,
+                ..ClusterConfig::default()
+            },
+        );
+        queued(&mut c, 1);
+        assert!(matches!(
+            c.admit(spec(2), "g", JobClass::Interactive, Some(2), true),
+            Submission::QueueFull
+        ));
+        dispatch(&mut c);
+        queued(&mut c, 2);
+        assert!(matches!(
+            c.admit(spec(3), "g", JobClass::Interactive, Some(3), true),
+            Submission::QueueFull
+        ));
+    }
+
+    /// Terminal jobs retire from the table, so it stays bounded over a
+    /// long run; ids stay monotone, a retired id is unknown, and the
+    /// lifetime drain report still counts every job.
+    #[test]
+    fn the_job_table_stays_bounded_as_terminal_jobs_retire() {
+        let mut c = coordinator(2);
+        c.retire_ttl = Duration::ZERO;
+        let done = record();
+        let total = 3000u64;
+        let mut last = None;
+        for n in 0..total {
+            let now = Duration::from_millis(n);
+            assert!(c.retire_expired(now) <= 1);
+            let id = queued(&mut c, n);
+            assert!(last.is_none_or(|prev| id > prev), "ids stay monotone");
+            last = Some(id);
+            let (got, worker, _, _) = dispatch(&mut c);
+            assert_eq!(got, id);
+            assert!(c.on_done(worker, id, done.clone()).is_some());
+            assert_eq!(c.table_len(), 1, "only the newest job is in the table");
+        }
+        assert_eq!(c.retire_expired(Duration::from_millis(total)), 1);
+        assert_eq!(c.table_len(), 0);
+        assert!(c.snapshot(0).is_none(), "a retired id is unknown");
+        assert!(c.begin_drain().is_empty());
+        assert_eq!(c.drain_report().completed, total as usize);
+        assert_eq!(c.drain_work_report(), DrainReport::default());
     }
 }

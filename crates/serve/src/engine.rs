@@ -1,43 +1,46 @@
-//! The serving engine: a job table over the scheduling tier with
-//! long-lived worker threads.
+//! The serving engine: the job lifecycle over long-lived worker threads.
 //!
-//! Submission is admission-controlled: the job queue is the scheduler's
-//! [`SchedQueue`], and a submission that finds it full is refused
-//! immediately (the router turns that into `429 Too Many Requests`) —
-//! the server never buffers unbounded work. Before a spec reaches the
-//! queue it passes the result cache (serve a completed record without
-//! re-executing) and the in-flight map (attach to an identical queued or
-//! running job instead of duplicating it).
+//! The engine drives the same sans-IO [`Coordinator`] as the cluster,
+//! through the `Lifecycle` both backends share: one lock over the job
+//! table, coalescing, the scheduler and drain state, with the result
+//! cache above it. Submission is admission-controlled: a submission that
+//! finds the scheduler's admission bound full is refused immediately
+//! (the router turns that into `429 Too Many Requests`) — the server
+//! never buffers unbounded work. Before a spec is admitted it passes the
+//! result cache (serve a completed record without re-executing) and the
+//! in-flight map (attach to an identical queued or running job instead
+//! of duplicating it).
 //!
-//! Workers dequeue [`Batch`]es, not single jobs: the scheduler groups
+//! Worker threads pull [`Batch`]es, not single jobs: the scheduler groups
 //! pending jobs by benchmark×size (deficit-round-robin across QoS
-//! classes), and a worker executes a batch back to back with warm-start
-//! amortization — the first job pays benchmark warmup, the followers skip
-//! it. `ExecPolicy::Auto` jobs are resolved through the per-group scaling
-//! model ([`sched::pick_threads`]) instead of a static core count.
+//! classes), and a thread starts the batch's jobs back to back with
+//! warm-start amortization — the first job pays benchmark warmup, the
+//! followers skip it. `ExecPolicy::Auto` jobs are resolved through the
+//! per-group scaling model ([`sched::pick_threads`]) instead of a static
+//! core count. Stream frames ride the same table and scheduler, one
+//! group per stream, without a coalescing digest.
 //!
 //! Terminal jobs are **retired** from the job table after
-//! [`EngineConfig::retire_ttl`] (a poll-grace window): ids stay stable —
-//! the table is a map, never reindexed — but a long-lived daemon's memory
-//! no longer grows with every job it has ever run. Polling a retired id
-//! answers `404`, same as an id that never existed.
+//! [`EngineConfig::retire_ttl`] (a poll-grace window): ids stay monotone,
+//! but a long-lived daemon's memory no longer grows with every job it
+//! has ever run. Polling a retired id answers `404`, same as an id that
+//! never existed.
 //!
-//! Draining ([`Engine::drain`]) closes the queue: jobs currently on
-//! workers run to completion, everything still queued is dequeued and
-//! rejected (`503` when polled), and the workers exit once the queue is
-//! empty. The [`DrainReport`] counts **only the work that was open
-//! (queued or running) when the drain began** — not lifetime totals. One
-//! state mutex covers the job table and the in-flight map, so
-//! cache/coalesce/admission decisions are atomic with respect to worker
-//! completions.
+//! Draining ([`Engine::drain`]) closes admission: jobs already started
+//! run to completion, everything still waiting is rejected (`503` when
+//! polled) — in the scheduler at once, in a pulled batch when its thread
+//! reaches it — and the threads exit once nothing is left. The
+//! [`DrainReport`] counts **only the work that was open (queued or
+//! running) when the drain began** — not lifetime totals.
 
-use crate::cache::{cache_preimage, spec_digest, CacheLookup, ResultCache, DEFAULT_CACHE_CAPACITY};
-use crate::coalesce::InflightMap;
-use crate::sched::{self, Batch, JobClass, SchedConfig, SchedPushError, SchedQueue};
+use crate::backend::{Lifecycle, Payload};
+use crate::cache::DEFAULT_CACHE_CAPACITY;
+use crate::coord::{Coordinator, JobState, DEFAULT_RETIRE_TTL};
+use crate::sched::{self, Batch, JobClass, SchedConfig};
 use crate::shutdown::DrainReport;
 use crate::stream::{
-    self, FrameDecision, FrameTask, FrameTicket, StreamEntry, StreamRefused, StreamStatus,
-    StreamTable, MAX_STREAMS,
+    self, FrameDecision, FrameTask, FrameTicket, StreamEntry, StreamRefused, StreamStats,
+    StreamStatus, StreamTable, MAX_STREAMS,
 };
 use sdvbs_core::ExecPolicy;
 use sdvbs_exec::ClockHandle;
@@ -45,8 +48,7 @@ use sdvbs_runner::{execute_job_warm, size_label, HostMeta, Job, RunRecord, RunSt
 use sdvbs_stream::{fold_digest, StreamSpec};
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::{alloc_track, now_us, MetricsRegistry, Phase, TraceEvent};
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -62,8 +64,9 @@ const FRAME_LATENCY_WINDOW: usize = 1024;
 pub struct EngineConfig {
     /// Worker threads executing jobs (clamped to at least 1).
     pub workers: usize,
-    /// Queue capacity — the admission-control bound. Submissions that
-    /// find the queue full are refused with [`Submission::QueueFull`].
+    /// The admission bound: jobs waiting in the scheduler, not yet pulled
+    /// by a worker thread. Submissions that find it full are refused with
+    /// [`Submission::QueueFull`].
     pub queue_capacity: usize,
     /// Per-job watchdog deadline (see [`sdvbs_runner::supervise`]).
     pub timeout: Option<Duration>,
@@ -93,64 +96,30 @@ impl Default for EngineConfig {
             hold: None,
             sched: SchedConfig::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            retire_ttl: Duration::from_secs(300),
+            retire_ttl: DEFAULT_RETIRE_TTL,
             clock: ClockHandle::system(),
         }
     }
 }
 
-/// Where a job is in its lifecycle.
+/// What an engine job executes: a one-shot benchmark spec, or one frame
+/// of an open stream.
 #[derive(Debug, Clone)]
-enum JobState {
-    /// Accepted and waiting in the queue.
-    Queued,
-    /// A worker is executing it.
-    Running,
-    /// Execution finished; the record is the result (which may itself
-    /// report a failed status — that is still a terminal, pollable state).
-    /// Boxed to keep the variant near the size of its siblings.
-    Done(Box<RunRecord>),
-    /// A stream frame finished; the string is the pipeline's one-line
-    /// summary (frames have no [`RunRecord`] — their results live in the
-    /// stream's status window).
-    FrameDone(String),
-    /// The engine refused to run it (drain started before a worker picked
-    /// it up, or the spec failed validation inside the engine).
-    Rejected(String),
-}
-
-/// What a job-table entry executes: a one-shot benchmark spec, or one
-/// frame of an open stream.
-enum Payload {
+enum Work {
     Bench(Job),
     Frame(FrameTask),
 }
 
-struct JobEntry {
-    payload: Payload,
-    /// Spec digest for cache/coalescing. Frames never cache or coalesce
-    /// (each is a unique stateful step) and carry 0 here.
-    digest: u64,
-    /// The canonical cache preimage, verified on every cache hit.
-    key: String,
-    state: JobState,
-    /// Clock time after which the terminal entry may be retired.
-    retire_at: Option<Duration>,
-}
-
-struct EngineState {
-    /// Job table keyed by id — a map, not a vec, so retiring old entries
-    /// never moves or reuses a live id.
-    jobs: HashMap<u64, JobEntry>,
-    next_id: u64,
-    inflight: InflightMap,
-    draining: bool,
-    /// `Some(n)` once a drain has begun: jobs that were queued/running at
-    /// that moment and are not yet terminal. The drain completes at 0.
-    drain_open: Option<usize>,
-    /// Of the drain-open jobs, how many completed / were rejected.
-    drain_completed: usize,
-    drain_rejected: usize,
+impl Payload for Work {
+    fn bench(spec: Job) -> Self {
+        Work::Bench(spec)
+    }
+    fn spec(&self) -> Option<&Job> {
+        match self {
+            Work::Bench(spec) => Some(spec),
+            Work::Frame(_) => None,
+        }
+    }
 }
 
 /// How the engine answered a submission.
@@ -178,7 +147,8 @@ pub struct JobSnapshot {
     pub state: &'static str,
     /// The run record, once done.
     pub record: Option<RunRecord>,
-    /// The rejection reason, when rejected.
+    /// The rejection reason when rejected; a stream frame's summary when
+    /// done.
     pub detail: String,
 }
 
@@ -186,29 +156,6 @@ impl JobSnapshot {
     /// Whether the job has reached a terminal state.
     pub fn is_terminal(&self) -> bool {
         matches!(self.state, "done" | "rejected")
-    }
-}
-
-/// The long-poll both backends share: re-reads a job's snapshot through
-/// `read` until it is terminal or `wait` elapses, parking on `changed`
-/// between reads. `None` for an unknown id.
-pub(crate) fn wait_terminal<T>(
-    changed: &Condvar,
-    mut guard: MutexGuard<'_, T>,
-    wait: Duration,
-    read: impl Fn(&T) -> Option<JobSnapshot>,
-) -> Option<JobSnapshot> {
-    let deadline = Instant::now() + wait;
-    loop {
-        let snap = read(&guard)?;
-        let now = Instant::now();
-        if snap.is_terminal() || now >= deadline {
-            return Some(snap);
-        }
-        guard = changed
-            .wait_timeout(guard, deadline - now)
-            .unwrap_or_else(PoisonError::into_inner)
-            .0;
     }
 }
 
@@ -220,11 +167,7 @@ pub fn group_key(spec: &Job) -> String {
 /// The benchmark-serving engine. Construct with [`Engine::start`]; always
 /// wrapped in an [`Arc`] because the worker threads hold a reference.
 pub struct Engine {
-    state: Mutex<EngineState>,
-    changed: Condvar,
-    queue: SchedQueue,
-    cache: ResultCache,
-    metrics: Mutex<MetricsRegistry>,
+    life: Lifecycle<Work>,
     trace: Mutex<Vec<TraceEvent>>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
     streams: Mutex<StreamTable>,
@@ -236,21 +179,12 @@ pub struct Engine {
 impl Engine {
     /// Builds the engine and spawns its worker threads.
     pub fn start(cfg: EngineConfig) -> Arc<Engine> {
-        let queue = SchedQueue::new(cfg.queue_capacity.max(1), cfg.sched.clone());
         let engine = Arc::new(Engine {
-            state: Mutex::new(EngineState {
-                jobs: HashMap::new(),
-                next_id: 0,
-                inflight: InflightMap::new(),
-                draining: false,
-                drain_open: None,
-                drain_completed: 0,
-                drain_rejected: 0,
-            }),
-            changed: Condvar::new(),
-            queue,
-            cache: ResultCache::with_capacity(cfg.cache_capacity),
-            metrics: Mutex::new(MetricsRegistry::new()),
+            life: Lifecycle::new(
+                Coordinator::local(&cfg),
+                cfg.cache_capacity,
+                cfg.clock.clone(),
+            ),
             trace: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
             streams: Mutex::new(StreamTable::default()),
@@ -279,100 +213,34 @@ impl Engine {
     /// coalescing — the client explicitly wants a re-execution. `class`
     /// picks the QoS lane the job is scheduled in.
     pub fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
-        let digest = spec_digest(&spec);
-        let key = cache_preimage(&spec);
-        let mut st = self.lock_state();
-        self.sweep_retired(&mut st);
-        if st.draining {
-            self.incr("rejected_draining");
-            return Submission::Draining;
-        }
-        if !fresh {
-            match self.cache.get(digest, &key) {
-                CacheLookup::Hit(record) => {
-                    self.incr("cache_hits");
-                    return Submission::Cached(record);
-                }
-                CacheLookup::Collision => {
-                    // A 64-bit digest collision: treat as a miss so the
-                    // right spec executes, and surface it.
-                    self.incr("cache_key_collisions");
-                }
-                CacheLookup::Miss => {}
-            }
-            if let Some(id) = st.inflight.get(digest) {
-                self.incr("coalesced");
-                return Submission::Coalesced(id);
-            }
-        }
-        let id = st.next_id;
-        let group = group_key(&spec);
-        st.jobs.insert(
-            id,
-            JobEntry {
-                payload: Payload::Bench(spec),
-                digest,
-                key,
-                state: JobState::Queued,
-                retire_at: None,
-            },
-        );
-        st.inflight.claim(digest, id);
-        // try_push under the state lock keeps the entry/queue transition
-        // atomic; workers take the queue lock only with the state lock
-        // released, so the ordering is acyclic.
-        match self.queue.try_push(id, &group, class) {
-            Ok(()) => {
-                st.next_id += 1;
-                self.incr("jobs_submitted");
-                self.incr(&format!("submitted_{}", class.label()));
-                Submission::Queued(id)
-            }
-            Err(refusal) => {
-                st.jobs.remove(&id);
-                st.inflight.release(digest, id);
-                match refusal {
-                    SchedPushError::Full => {
-                        self.incr("rejected_queue_full");
-                        Submission::QueueFull
-                    }
-                    SchedPushError::Closed => {
-                        self.incr("rejected_draining");
-                        Submission::Draining
-                    }
-                }
-            }
-        }
+        self.life.submit(spec, fresh, class)
     }
 
     /// A snapshot of job `id`, or `None` for an unknown (or retired) id.
     pub fn get(&self, id: u64) -> Option<JobSnapshot> {
-        let st = self.lock_state();
-        st.jobs.get(&id).map(|entry| snapshot(id, entry))
+        self.life.get(id)
     }
 
     /// Long-poll: blocks until job `id` reaches a terminal state or
     /// `wait` elapses, then returns its (possibly still non-terminal)
     /// snapshot. `None` for an unknown or retired id.
     pub fn wait_terminal(&self, id: u64, wait: Duration) -> Option<JobSnapshot> {
-        wait_terminal(&self.changed, self.lock_state(), wait, |st| {
-            st.jobs.get(&id).map(|entry| snapshot(id, entry))
-        })
+        self.life.wait_terminal(id, wait)
     }
 
     /// Current number of entries in the job table (tests pin the
     /// retirement bound with this).
     pub fn jobs_table_len(&self) -> usize {
-        self.lock_state().jobs.len()
+        self.life.lock().table_len()
     }
 
     /// Lifetime LRU evictions from the result cache.
     pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
+        self.life.cache.evictions()
     }
 
     /// Starts and completes a graceful drain: refuses new submissions,
-    /// lets running jobs finish, rejects everything still queued, then
+    /// lets started jobs finish, rejects everything still waiting, then
     /// joins the worker threads. Blocks until every job that was open
     /// when the drain began is terminal. Idempotent — a second call just
     /// waits for the first drain's state.
@@ -382,19 +250,7 @@ impl Engine {
     /// already terminal are history, not drain work.
     pub fn drain(&self) -> DrainReport {
         self.begin_drain();
-        let mut st = self.lock_state();
-        while st.drain_open.is_some_and(|open| open > 0) {
-            st = self
-                .changed
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        let report = DrainReport {
-            completed: st.drain_completed,
-            rejected: st.drain_rejected,
-            ..DrainReport::default()
-        };
-        drop(st);
+        let report = self.life.wait_quiescent().drain_work_report();
         let handles: Vec<_> = self
             .workers
             .lock()
@@ -408,30 +264,35 @@ impl Engine {
     }
 
     /// Starts the drain without waiting for it: refuses new submissions
-    /// and closes the queue. The shutdown endpoint calls this inline
-    /// before responding, so a submission that arrives after the shutdown
-    /// response is deterministically answered `503`, never `429`. The
-    /// first call snapshots the set of open jobs the eventual
-    /// [`DrainReport`] accounts for.
+    /// and rejects every job still waiting in the scheduler. The shutdown
+    /// endpoint calls this inline before responding, so a submission that
+    /// arrives after the shutdown response is deterministically answered
+    /// `503`, never `429`.
     pub fn begin_drain(&self) {
-        {
-            let mut st = self.lock_state();
-            if st.drain_open.is_none() {
-                let open = st
-                    .jobs
-                    .values()
-                    .filter(|e| matches!(e.state, JobState::Queued | JobState::Running))
-                    .count();
-                st.drain_open = Some(open);
-                st.draining = true;
+        let frames: Vec<FrameTask> = {
+            let mut core = self.life.lock();
+            let rejected = self.life.begin_drain(&mut core);
+            rejected
+                .into_iter()
+                .filter_map(|id| match core.job(id).map(|job| &job.payload) {
+                    Some(Work::Frame(task)) => Some(task.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        // These frames never reach a thread, so their streams' counts
+        // settle here. No started frame waits on their turn: a stream's
+        // frames leave the scheduler in order.
+        for task in frames {
+            if let Some(stream) = self.stream_entry(task.stream) {
+                self.note_frame_rejected(&stream);
             }
         }
-        self.queue.close();
     }
 
     /// Whether a drain has started.
     pub fn is_draining(&self) -> bool {
-        self.lock_state().draining
+        self.life.lock().is_draining()
     }
 
     /// Opens a stream: validates the spec, builds its stateful pipeline,
@@ -443,14 +304,14 @@ impl Engine {
     /// [`StreamRefused::Draining`], [`StreamRefused::LimitReached`], or
     /// [`StreamRefused::BadSpec`].
     pub fn open_stream(&self, spec: StreamSpec) -> Result<u64, StreamRefused> {
-        if self.lock_state().draining {
+        if self.is_draining() {
             return Err(StreamRefused::Draining);
         }
         let pipeline = stream::build_for(&spec)?;
         let mut tbl = self.lock_streams();
         self.sweep_streams(&mut tbl);
         if tbl.open_count() >= MAX_STREAMS {
-            self.incr("streams_refused_limit");
+            self.life.incr("streams_refused_limit");
             return Err(StreamRefused::LimitReached);
         }
         let id = tbl.next_id;
@@ -465,7 +326,7 @@ impl Engine {
         ));
         tbl.streams
             .insert(id, Arc::new(StreamEntry::new(id, spec, track, pipeline)));
-        self.incr("streams_opened");
+        self.life.incr("streams_opened");
         Ok(id)
     }
 
@@ -484,8 +345,8 @@ impl Engine {
         let entry = self
             .stream_entry(stream_id)
             .ok_or(StreamRefused::NoSuchStream)?;
-        // Lock order: stream stats, then engine state. Workers take them
-        // one at a time, never nested in the other direction.
+        // Lock order: stream stats, then the core. Workers take them one
+        // at a time, never nested in the other direction.
         let mut stats = entry.lock_stats();
         if stats.closed {
             return Err(StreamRefused::Closed);
@@ -493,58 +354,33 @@ impl Engine {
         let frame = stats.submitted;
         let decision = stats.admit(entry.spec.policy, entry.sla_ms);
         if decision == FrameDecision::Drop {
-            stats.submitted += 1;
-            stats.dropped += 1;
-            drop(stats);
-            self.incr("stream_frames_submitted");
-            self.incr("stream_frames_dropped");
-            self.incr(&format!("stream_{stream_id}_frames_dropped"));
-            return Ok(FrameTicket {
-                job_id: None,
-                frame,
-                dropped: true,
-                degraded: false,
-            });
+            return Ok(self.shed_frame(stats, stream_id, frame));
         }
         let degraded = matches!(decision, FrameDecision::Process { degraded: true });
-        let mut st = self.lock_state();
-        self.sweep_retired(&mut st);
-        if st.draining {
-            return Err(StreamRefused::Draining);
-        }
-        let id = st.next_id;
-        let seq = stats.next_seq;
-        st.jobs.insert(
-            id,
-            JobEntry {
-                payload: Payload::Frame(FrameTask {
-                    stream: stream_id,
-                    frame,
-                    seq,
-                    degraded,
-                    submitted: Instant::now(),
-                }),
-                digest: 0,
-                key: String::new(),
-                state: JobState::Queued,
-                retire_at: None,
-            },
-        );
-        match self
-            .queue
-            .try_push(id, &format!("stream:{stream_id}"), JobClass::Interactive)
-        {
-            Ok(()) => {
-                st.next_id += 1;
+        let task = FrameTask {
+            stream: stream_id,
+            frame,
+            seq: stats.next_seq,
+            degraded,
+            submitted: Instant::now(),
+        };
+        let mut core = self.life.lock();
+        self.life.retire(&mut core);
+        let group = format!("stream:{stream_id}");
+        let outcome = core.admit(Work::Frame(task), &group, JobClass::Interactive, None, true);
+        drop(core);
+        match outcome {
+            Submission::Queued(id) => {
+                self.life.changed.notify_all();
                 stats.submitted += 1;
                 stats.next_seq += 1;
                 stats.in_flight += 1;
-                drop(st);
                 drop(stats);
-                self.incr("stream_frames_submitted");
+                self.life.incr("stream_frames_submitted");
                 if degraded {
-                    self.incr("stream_frames_degraded");
-                    self.incr(&format!("stream_{stream_id}_frames_degraded"));
+                    self.life.incr("stream_frames_degraded");
+                    self.life
+                        .incr(&format!("stream_{stream_id}_frames_degraded"));
                 }
                 Ok(FrameTicket {
                     job_id: Some(id),
@@ -553,29 +389,42 @@ impl Engine {
                     degraded,
                 })
             }
-            Err(SchedPushError::Full) => {
-                // Queue pressure sheds the frame under either policy —
-                // counted, like a policy drop, so accounting stays exact.
-                st.jobs.remove(&id);
-                stats.submitted += 1;
-                stats.dropped += 1;
-                drop(st);
-                drop(stats);
-                self.incr("stream_frames_submitted");
-                self.incr("stream_frames_dropped");
-                self.incr(&format!("stream_{stream_id}_frames_dropped"));
-                Ok(FrameTicket {
-                    job_id: None,
-                    frame,
-                    dropped: true,
-                    degraded: false,
-                })
-            }
-            Err(SchedPushError::Closed) => {
-                st.jobs.remove(&id);
-                Err(StreamRefused::Draining)
-            }
+            // Queue pressure sheds the frame under either policy —
+            // counted, like a policy drop, so accounting stays exact.
+            Submission::QueueFull => Ok(self.shed_frame(stats, stream_id, frame)),
+            _ => Err(StreamRefused::Draining),
         }
+    }
+
+    /// Counts frame `frame` of stream `stream_id` as dropped.
+    fn shed_frame(
+        &self,
+        mut stats: MutexGuard<'_, StreamStats>,
+        stream_id: u64,
+        frame: u64,
+    ) -> FrameTicket {
+        stats.submitted += 1;
+        stats.dropped += 1;
+        drop(stats);
+        self.life.incr("stream_frames_submitted");
+        self.life.incr("stream_frames_dropped");
+        self.life
+            .incr(&format!("stream_{stream_id}_frames_dropped"));
+        FrameTicket {
+            job_id: None,
+            frame,
+            dropped: true,
+            degraded: false,
+        }
+    }
+
+    /// Counts one of `stream`'s accepted frames as rejected by the drain.
+    fn note_frame_rejected(&self, stream: &StreamEntry) {
+        let mut stats = stream.lock_stats();
+        stats.in_flight = stats.in_flight.saturating_sub(1);
+        stats.rejected += 1;
+        drop(stats);
+        self.life.incr("stream_frames_rejected");
     }
 
     /// A point-in-time status of stream `id`, or `None` if unknown.
@@ -597,7 +446,7 @@ impl Engine {
                 return Some(entry.status());
             }
         }
-        self.incr("streams_closed");
+        self.life.incr("streams_closed");
         Some(entry.status())
     }
 
@@ -605,7 +454,7 @@ impl Engine {
         self.lock_streams().streams.get(&id).cloned()
     }
 
-    fn lock_streams(&self) -> std::sync::MutexGuard<'_, StreamTable> {
+    fn lock_streams(&self) -> MutexGuard<'_, StreamTable> {
         self.streams.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -625,34 +474,25 @@ impl Engine {
         });
         let retired = before - tbl.streams.len();
         if retired > 0 {
-            self.incr("streams_retired");
+            self.life.incr("streams_retired");
         }
     }
 
     /// Renders the engine's process-lifetime metrics in the Prometheus
     /// text format under the `sdvbs_serve` prefix.
     pub fn metrics_text(&self) -> String {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .to_prometheus("sdvbs_serve")
+        self.life.metrics().to_prometheus("sdvbs_serve")
     }
 
     /// Folds an external registry (e.g. a connection thread's request
     /// stats) into the engine's lifetime registry.
     pub fn merge_metrics(&self, other: &MetricsRegistry) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(other);
+        self.life.metrics().merge(other);
     }
 
     /// Current value of a lifetime counter (for tests and the smoke gate).
     pub fn counter(&self, name: &str) -> u64 {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .counter(name)
+        self.life.metrics().counter(name)
     }
 
     /// Execution-side trace events: one track per engine worker carrying
@@ -668,7 +508,7 @@ impl Engine {
     /// wire to a coordinator.
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
         let mut out = MetricsRegistry::new();
-        out.merge(&self.metrics.lock().unwrap_or_else(PoisonError::into_inner));
+        out.merge(&self.life.metrics());
         out
     }
 
@@ -677,26 +517,6 @@ impl Engine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(event);
-    }
-
-    /// Retires terminal entries whose poll-grace TTL has elapsed. Called
-    /// with the state lock held, from the submission path only — a job
-    /// that just went terminal always survives until the next submission,
-    /// so a client never loses the poll race to its own job's retirement.
-    fn sweep_retired(&self, st: &mut EngineState) {
-        let now = self.cfg.clock.now();
-        let before = st.jobs.len();
-        st.jobs
-            .retain(|_, entry| entry.retire_at.is_none_or(|at| at > now));
-        let retired = before - st.jobs.len();
-        if retired > 0 {
-            self.incr("jobs_retired");
-        }
-    }
-
-    /// The clock time at which a job going terminal now may be retired.
-    fn retire_deadline(&self) -> Option<Duration> {
-        Some(self.cfg.clock.now() + self.cfg.retire_ttl)
     }
 
     fn worker_loop(&self, worker: usize) {
@@ -711,8 +531,8 @@ impl Engine {
             0,
             track,
         ));
-        while let Some(batch) = self.queue.pop_batch() {
-            self.observe("batch_size", batch.ids.len() as f64);
+        while let Some(batch) = self.next_batch() {
+            self.life.observe("batch_size", batch.ids.len() as f64);
             let mut begin = TraceEvent::new(
                 format!("batch {}", batch.group),
                 "batch",
@@ -736,18 +556,38 @@ impl Engine {
             let n = batch.ids.len();
             for (i, &id) in batch.ids.iter().enumerate() {
                 if frames {
-                    self.run_frame(&batch, id, track, i + 1 == n);
-                } else if self.run_one(&batch, id, warm, track, i + 1 == n) {
+                    self.run_frame(&batch, id, worker, i + 1 == n);
+                } else if self.run_one(&batch, id, worker, warm, i + 1 == n) {
                     warm = true;
                 }
             }
         }
     }
 
-    /// Closes the dispatch-window span. Called by [`Engine::run_one`] for
-    /// the batch's last job *before* that job's terminal state becomes
-    /// externally visible — a trace fetched after every submitted job
-    /// polls done therefore never catches the window still open.
+    /// Blocks until the scheduler has a batch for this thread, or returns
+    /// `None` once a drain has begun and nothing is left — the exit
+    /// signal.
+    fn next_batch(&self) -> Option<Batch> {
+        let mut core = self.life.lock();
+        loop {
+            if let Some(batch) = core.pop_batch() {
+                return Some(batch);
+            }
+            if core.is_draining() {
+                return None;
+            }
+            core = self
+                .life
+                .changed
+                .wait(core)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Closes the dispatch-window span. Called for the batch's last job
+    /// *before* that job's terminal state becomes externally visible — a
+    /// trace fetched after every submitted job polls done therefore never
+    /// catches the window still open.
     fn push_batch_end(&self, batch: &Batch, track: u32) {
         self.push_trace(TraceEvent::new(
             format!("batch {}", batch.group),
@@ -758,48 +598,40 @@ impl Engine {
         ));
     }
 
+    /// Starts job `id` of `batch` on this thread ([`Coordinator::start`]).
+    /// A job reached after the drain began is rejected instead; then the
+    /// window span closes under the core lock, so the rejection is never
+    /// visible before it.
+    fn start_job(&self, batch: &Batch, id: u64, worker: usize, last: bool) -> Result<Work, Work> {
+        let mut core = self.life.lock();
+        let started = core.start(id, worker);
+        if started.is_err() {
+            self.life.incr("rejected_draining");
+            if last {
+                self.push_batch_end(batch, worker as u32);
+            }
+        }
+        drop(core);
+        self.life.changed.notify_all();
+        started
+    }
+
     /// Executes (or drain-rejects) one job of a batch. Returns whether the
     /// benchmark actually ran (and the batch is therefore warm).
-    fn run_one(&self, batch: &Batch, id: u64, warm: bool, track: u32, last: bool) -> bool {
-        let spec = {
-            let mut st = self.lock_state();
-            if st.draining {
-                // Dequeued after the drain began: reject without executing.
-                // The window span closes while the state lock is still
-                // held, so the rejection is never visible before it.
-                if last {
-                    self.push_batch_end(batch, track);
-                }
-                if let Some(entry) = st.jobs.get_mut(&id) {
-                    entry.state =
-                        JobState::Rejected("server shutting down before execution".into());
-                    entry.retire_at = self.retire_deadline();
-                    let digest = entry.digest;
-                    st.inflight.release(digest, id);
-                    note_terminal(&mut st, false);
-                    self.incr("rejected_draining");
-                    self.changed.notify_all();
-                }
-                return false;
-            }
-            let entry = st
-                .jobs
-                .get_mut(&id)
-                .expect("a queued job stays in the table until terminal + TTL");
-            entry.state = JobState::Running;
-            self.changed.notify_all();
-            match &entry.payload {
-                Payload::Bench(spec) => spec.clone(),
-                Payload::Frame(_) => unreachable!("frame jobs dispatch through run_frame"),
-            }
+    fn run_one(&self, batch: &Batch, id: u64, worker: usize, warm: bool, last: bool) -> bool {
+        let spec = match self.start_job(batch, id, worker, last) {
+            Ok(Work::Bench(spec)) => spec,
+            Ok(Work::Frame(_)) => unreachable!("frame jobs dispatch through run_frame"),
+            Err(_) => return false,
         };
+        let track = worker as u32;
         if let Some(hold) = self.cfg.hold {
             thread::sleep(hold);
         }
         // Auto policies go through the scaling model; everything else is
         // exactly what the client asked for.
         let tuned = matches!(spec.policy, ExecPolicy::Auto).then(|| {
-            let reg = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
+            let reg = self.life.metrics();
             sched::pick_threads(&reg, &batch.group, &spec.benchmark, self.auto_threads)
         });
         let auto_threads = tuned.unwrap_or(self.auto_threads);
@@ -823,55 +655,29 @@ impl Engine {
         if last {
             self.push_batch_end(batch, track);
         }
-        let mut st = self.lock_state();
-        let entry = st
-            .jobs
-            .get_mut(&id)
-            .expect("a running job stays in the table until terminal + TTL");
-        let digest = entry.digest;
-        let executed = match result {
+        match result {
             Ok(record) => {
-                let outcome = self.cache.put(digest, &entry.key, &record);
-                if outcome.evicted {
-                    self.incr("cache_evictions");
-                }
-                if outcome.collided {
-                    self.incr("cache_key_collisions");
-                }
                 // Feed the scaling model: the best pipeline time at this
                 // thread width, windowed so a long-lived daemon tracks
                 // recent behavior in bounded memory.
                 if record.status == RunStatus::Completed && record.min_ms > 0.0 {
-                    self.metrics
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .observe_windowed(
-                            &sched::exec_hist_name(&batch.group, record.threads),
-                            record.min_ms,
-                            EXEC_HISTORY_WINDOW,
-                        );
+                    self.life.metrics().observe_windowed(
+                        &sched::exec_hist_name(&batch.group, record.threads),
+                        record.min_ms,
+                        EXEC_HISTORY_WINDOW,
+                    );
                 }
                 if tuned.is_some() {
-                    self.incr("sched_tuned_jobs");
+                    self.life.incr("sched_tuned_jobs");
                 }
-                entry.state = JobState::Done(Box::new(record));
-                entry.retire_at = self.retire_deadline();
-                note_terminal(&mut st, true);
-                self.incr("jobs_executed");
-                self.observe("job_exec_ms", exec_ms);
+                self.life.done(worker, id, record, exec_ms);
                 true
             }
             Err(e) => {
-                entry.state = JobState::Rejected(e.to_string());
-                entry.retire_at = self.retire_deadline();
-                note_terminal(&mut st, false);
-                self.incr("jobs_invalid");
+                self.life.invalid(worker, id, &e.to_string());
                 false
             }
-        };
-        st.inflight.release(digest, id);
-        self.changed.notify_all();
-        executed
+        }
     }
 
     /// Executes (or drain-rejects) one stream frame. Frames never touch
@@ -880,66 +686,33 @@ impl Engine {
     /// execution: even when frames of one stream land on several
     /// workers, they process strictly in submission order (pipeline
     /// state makes order a correctness property).
-    fn run_frame(&self, batch: &Batch, id: u64, track: u32, last: bool) {
-        let (task, draining) = {
-            let mut st = self.lock_state();
-            let draining = st.draining;
-            let entry = st
-                .jobs
-                .get_mut(&id)
-                .expect("a queued frame stays in the table until terminal + TTL");
-            let Payload::Frame(task) = &entry.payload else {
-                unreachable!("stream-group jobs always carry frame payloads")
-            };
-            let task = task.clone();
-            if !draining {
-                entry.state = JobState::Running;
-                self.changed.notify_all();
-            }
-            (task, draining)
+    fn run_frame(&self, batch: &Batch, id: u64, worker: usize, last: bool) {
+        let track = worker as u32;
+        let (task, running) = match self.start_job(batch, id, worker, last) {
+            Ok(Work::Frame(task)) => (task, true),
+            Err(Work::Frame(task)) => (task, false),
+            _ => unreachable!("stream-group jobs always carry frame payloads"),
         };
         let Some(stream) = self.stream_entry(task.stream) else {
             // Unreachable in practice: a stream is only swept once it has
             // no in-flight frames. Account the frame as failed anyway
             // rather than wedging the drain.
-            let mut st = self.lock_state();
-            if let Some(entry) = st.jobs.get_mut(&id) {
-                entry.state = JobState::Rejected("stream no longer exists".into());
-                entry.retire_at = self.retire_deadline();
-                note_terminal(&mut st, false);
-                self.changed.notify_all();
-            }
-            if last {
-                self.push_batch_end(batch, track);
+            if running {
+                if last {
+                    self.push_batch_end(batch, track);
+                }
+                let why = JobState::Rejected("stream no longer exists".into());
+                self.finish_frame(worker, id, why);
             }
             return;
         };
-        if draining {
-            // Honest drain accounting: wait for this frame's turn (so the
-            // stream's execution order never inverts), reject it, then
-            // open the gate for the next frame. The gate is taken with no
-            // other lock held.
-            if last {
-                self.push_batch_end(batch, track);
-            }
+        if !running {
+            // Drain-rejected: wait for this frame's turn, so the stream's
+            // execution order never inverts, then open the gate for the
+            // next frame. The gate is taken with no other lock held.
             stream.wait_turn(task.seq);
-            {
-                let mut st = self.lock_state();
-                if let Some(entry) = st.jobs.get_mut(&id) {
-                    entry.state =
-                        JobState::Rejected("server shutting down before execution".into());
-                    entry.retire_at = self.retire_deadline();
-                    note_terminal(&mut st, false);
-                    self.incr("rejected_draining");
-                    self.changed.notify_all();
-                }
-            }
             stream.advance_turn(task.seq);
-            let mut stats = stream.lock_stats();
-            stats.in_flight = stats.in_flight.saturating_sub(1);
-            stats.rejected += 1;
-            drop(stats);
-            self.incr("stream_frames_rejected");
+            self.note_frame_rejected(&stream);
             return;
         }
         stream.wait_turn(task.seq);
@@ -995,8 +768,9 @@ impl Engine {
             stats.note_exec(exec_ms);
             let violated = stats.note_latency(latency_ms, stream.sla_ms);
             if violated {
-                self.incr("stream_sla_violations");
-                self.incr(&format!("stream_{}_sla_violations", stream.id));
+                self.life.incr("stream_sla_violations");
+                self.life
+                    .incr(&format!("stream_{}_sla_violations", stream.id));
             }
             match result {
                 Ok(r) => {
@@ -1007,7 +781,7 @@ impl Engine {
                     stats.rolling_digest = fold_digest(stats.rolling_digest, r.digest);
                     let detail = r.detail.clone();
                     stats.push_recent(stream::summarize(&r, latency_ms));
-                    JobState::FrameDone(detail)
+                    JobState::Finished(detail)
                 }
                 Err(e) => {
                     stats.failed += 1;
@@ -1015,94 +789,24 @@ impl Engine {
                 }
             }
         };
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .observe_windowed(
-                &format!("stream_{}_frame_latency_ms", stream.id),
-                latency_ms,
-                FRAME_LATENCY_WINDOW,
-            );
-        self.observe("stream_frame_exec_ms", exec_ms);
+        self.life.metrics().observe_windowed(
+            &format!("stream_{}_frame_latency_ms", stream.id),
+            latency_ms,
+            FRAME_LATENCY_WINDOW,
+        );
+        self.life.observe("stream_frame_exec_ms", exec_ms);
         if completed {
-            self.incr("stream_frames_completed");
+            self.life.incr("stream_frames_completed");
         } else {
-            self.incr("stream_frames_failed");
+            self.life.incr("stream_frames_failed");
         }
-        let mut st = self.lock_state();
-        if let Some(entry) = st.jobs.get_mut(&id) {
-            entry.state = state;
-            entry.retire_at = self.retire_deadline();
-            note_terminal(&mut st, completed);
-            self.changed.notify_all();
-        }
+        self.finish_frame(worker, id, state);
     }
 
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, EngineState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn incr(&self, name: &str) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .incr(name, 1);
-    }
-
-    fn observe(&self, name: &str, value: f64) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .observe(name, value);
-    }
-}
-
-/// Accounts a terminal transition against an in-progress drain (a no-op
-/// before `begin_drain`; afterwards no new jobs are admitted, so every
-/// transition belongs to the drain-open set).
-fn note_terminal(st: &mut EngineState, completed: bool) {
-    if let Some(open) = st.drain_open {
-        if completed {
-            st.drain_completed += 1;
-        } else {
-            st.drain_rejected += 1;
-        }
-        st.drain_open = Some(open.saturating_sub(1));
-    }
-}
-
-fn snapshot(id: u64, entry: &JobEntry) -> JobSnapshot {
-    match &entry.state {
-        JobState::Queued => JobSnapshot {
-            id,
-            state: "queued",
-            record: None,
-            detail: String::new(),
-        },
-        JobState::Running => JobSnapshot {
-            id,
-            state: "running",
-            record: None,
-            detail: String::new(),
-        },
-        JobState::Done(record) => JobSnapshot {
-            id,
-            state: "done",
-            record: Some(record.as_ref().clone()),
-            detail: String::new(),
-        },
-        JobState::FrameDone(detail) => JobSnapshot {
-            id,
-            state: "done",
-            record: None,
-            detail: detail.clone(),
-        },
-        JobState::Rejected(why) => JobSnapshot {
-            id,
-            state: "rejected",
-            record: None,
-            detail: why.clone(),
-        },
+    /// Moves frame job `id`, running on this thread, to `state`.
+    fn finish_frame(&self, worker: usize, id: u64, state: JobState) {
+        self.life.lock().on_result(worker, id, state);
+        self.life.changed.notify_all();
     }
 }
 

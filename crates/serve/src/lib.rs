@@ -4,8 +4,9 @@
 //! The daemon accepts job specs (benchmark × input size × execution
 //! policy × seed) over a hand-rolled HTTP/1.1 interface on
 //! `std::net::TcpListener` — no external dependencies — and executes them
-//! on the runner's bounded-queue worker pool. Three serving mechanisms
-//! sit between the socket and the pool:
+//! on the engine's own worker threads, fed by the scheduling tier
+//! ([`sched`]). Three serving mechanisms sit between the socket and the
+//! threads:
 //!
 //! - **Result caching** ([`cache`]): a completed record is stored under
 //!   the content digest of its spec; an identical later submission is
@@ -13,9 +14,10 @@
 //! - **Request coalescing** ([`coalesce`]): a submission identical to a
 //!   queued or running job attaches to that job instead of duplicating
 //!   the execution.
-//! - **Admission control** ([`engine`]): the queue bound is the admission
-//!   bound — a full queue refuses with `429 Too Many Requests` rather
-//!   than buffering unbounded work, and a draining server answers `503`.
+//! - **Admission control** ([`coord`]): the bound on jobs waiting in the
+//!   scheduler is the admission bound — a full scheduler refuses with
+//!   `429 Too Many Requests` rather than buffering unbounded work, and a
+//!   draining server answers `503`.
 //!
 //! [`server`] owns the sockets and graceful shutdown, [`router`] maps
 //! endpoints to backend calls, and [`loadgen`] is a closed-loop client
@@ -26,9 +28,9 @@
 //! [`cluster::ClusterEngine`] coordinator, which shards admitted jobs
 //! over the [`sdvbs_wire`] protocol to `sdvbs-serve worker` processes
 //! ([`worker`]), with heartbeat-based failure detection, work stealing,
-//! retry-then-quarantine on worker death, and cluster-wide drain. Its
-//! job lifecycle is the sans-IO [`coord::Coordinator`] state machine,
-//! which the `sdvbs-sim` simulator drives too.
+//! retry-then-quarantine on worker death, and cluster-wide drain. Both
+//! backends drive one job lifecycle, the sans-IO [`coord::Coordinator`]
+//! state machine, which the `sdvbs-sim` simulator drives too.
 //!
 //! The streaming tier ([`stream`], over the `sdvbs-stream` crate) serves
 //! multi-frame video pipelines with per-stream frame-rate SLAs: frames
@@ -67,7 +69,7 @@ pub use loadgen::{
     run_loadgen, run_stream_loadgen, spec_body, stream_spec_body, Client, LoadgenConfig,
     LoadgenReport, StreamLoadConfig, StreamLoadReport, StreamRun, TargetStats,
 };
-pub use sched::{starvation_bound, JobClass, SchedConfig, SchedQueue};
+pub use sched::{starvation_bound, JobClass, SchedConfig};
 pub use server::{Server, ServerConfig};
 pub use shutdown::{DrainReport, ShutdownController};
 pub use stream::{parse_stream_spec, FrameSummary, FrameTicket, StreamRefused, StreamStatus};

@@ -20,14 +20,12 @@
 //!   prior ([`prior_parallel_fraction`]) and refined online from observed
 //!   execution times in the engine's [`MetricsRegistry`].
 //!
-//! The [`Drr`] core is a plain (externally synchronized) data structure so
-//! the cluster coordinator can drive it under its own state lock;
-//! [`SchedQueue`] wraps it with a mutex + condvar for the single-process
-//! engine's blocking workers.
+//! The [`Drr`] core is a plain (externally synchronized) data structure:
+//! the [`Coordinator`](crate::coord::Coordinator) holds it under its own
+//! state lock for both backends.
 
 use sdvbs_trace::MetricsRegistry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, PoisonError};
 
 /// The QoS class a submission rides in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -165,20 +163,14 @@ struct ClassQueue {
 }
 
 impl ClassQueue {
-    fn push(&mut self, id: u64, group: &str, front: bool) {
-        let q = self.groups.entry(group.to_string()).or_insert_with(|| {
-            if front {
-                self.order.push_front(group.to_string());
-            } else {
+    fn push(&mut self, id: u64, group: &str) {
+        self.groups
+            .entry(group.to_string())
+            .or_insert_with(|| {
                 self.order.push_back(group.to_string());
-            }
-            VecDeque::new()
-        });
-        if front {
-            q.push_front(id);
-        } else {
-            q.push_back(id);
-        }
+                VecDeque::new()
+            })
+            .push_back(id);
         self.len += 1;
     }
 
@@ -212,8 +204,7 @@ impl ClassQueue {
 }
 
 /// The deficit-round-robin batching core. Externally synchronized — the
-/// engine wraps it in [`SchedQueue`], the cluster coordinator holds it
-/// under its own state lock.
+/// coordinator holds it under its own state lock.
 #[derive(Debug)]
 pub struct Drr {
     cfg: SchedConfig,
@@ -246,13 +237,7 @@ impl Drr {
 
     /// Enqueues a job at the back of its group.
     pub fn push_back(&mut self, id: u64, group: &str, class: JobClass) {
-        self.classes[class.index()].push(id, group, false);
-    }
-
-    /// Re-enqueues a job at the front of its group (orphan requeue after a
-    /// worker death must not lose its place to later arrivals).
-    pub fn push_front(&mut self, id: u64, group: &str, class: JobClass) {
-        self.classes[class.index()].push(id, group, true);
+        self.classes[class.index()].push(id, group);
     }
 
     /// Dequeues the next batch by deficit round robin, or `None` when
@@ -305,100 +290,6 @@ impl Drr {
         }
         self.deficit = [0; CLASSES];
         out
-    }
-}
-
-/// Why [`SchedQueue::try_push`] refused a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPushError {
-    /// The queue is at capacity (admission control → `429`).
-    Full,
-    /// The queue is closed for drain (→ `503`).
-    Closed,
-}
-
-struct SchedState {
-    drr: Drr,
-    closed: bool,
-}
-
-/// The engine's blocking scheduler queue: [`Drr`] under a mutex, with a
-/// condvar parking the workers while it is empty. Capacity-bounded for
-/// admission control; closing wakes everyone and lets workers finish the
-/// remaining batches before `pop_batch` returns `None`.
-pub struct SchedQueue {
-    state: Mutex<SchedState>,
-    ready: Condvar,
-    capacity: usize,
-}
-
-impl SchedQueue {
-    /// A queue admitting at most `capacity` pending jobs (clamped ≥ 1).
-    pub fn new(capacity: usize, cfg: SchedConfig) -> SchedQueue {
-        SchedQueue {
-            state: Mutex::new(SchedState {
-                drr: Drr::new(cfg),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueues without blocking; refuses when full or closed.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedPushError::Full`] at capacity, [`SchedPushError::Closed`]
-    /// after [`SchedQueue::close`].
-    pub fn try_push(&self, id: u64, group: &str, class: JobClass) -> Result<(), SchedPushError> {
-        let mut st = self.lock();
-        if st.closed {
-            return Err(SchedPushError::Closed);
-        }
-        if st.drr.len() >= self.capacity {
-            return Err(SchedPushError::Full);
-        }
-        st.drr.push_back(id, group, class);
-        drop(st);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until a batch is available (or the queue is closed *and*
-    /// empty, which returns `None` — the worker-exit signal).
-    pub fn pop_batch(&self) -> Option<Batch> {
-        let mut st = self.lock();
-        loop {
-            if let Some(batch) = st.drr.pop_batch() {
-                return Some(batch);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Closes the queue: future pushes are refused, workers drain the
-    /// remaining batches and then see `None`.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Pending jobs right now.
-    pub fn len(&self) -> usize {
-        self.lock().drr.len()
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -615,18 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn push_front_requeues_ahead_of_later_arrivals() {
-        let mut drr = Drr::new(cfg(1, 16, 2));
-        drr.push_back(1, "A", JobClass::Interactive);
-        drr.push_back(2, "A", JobClass::Interactive);
-        let b = drr.pop_batch().unwrap();
-        assert_eq!(b.ids, vec![1]);
-        drr.push_front(1, "A", JobClass::Interactive); // worker died; requeue
-        assert_eq!(drr.pop_batch().unwrap().ids, vec![1]);
-        assert_eq!(drr.pop_batch().unwrap().ids, vec![2]);
-    }
-
-    #[test]
     fn drain_all_empties_both_classes() {
         let mut drr = Drr::new(cfg(4, 16, 2));
         drr.push_back(1, "A", JobClass::Interactive);
@@ -637,25 +516,6 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3]);
         assert!(drr.is_empty());
         assert!(drr.pop_batch().is_none());
-    }
-
-    #[test]
-    fn sched_queue_enforces_capacity_and_close() {
-        let q = SchedQueue::new(2, cfg(4, 16, 2));
-        assert_eq!(q.try_push(1, "A", JobClass::Interactive), Ok(()));
-        assert_eq!(q.try_push(2, "A", JobClass::Interactive), Ok(()));
-        assert_eq!(
-            q.try_push(3, "A", JobClass::Interactive),
-            Err(SchedPushError::Full)
-        );
-        q.close();
-        assert_eq!(
-            q.try_push(4, "A", JobClass::Interactive),
-            Err(SchedPushError::Closed)
-        );
-        // Remaining work still dequeues after close; then None.
-        assert_eq!(q.pop_batch().unwrap().ids, vec![1, 2]);
-        assert!(q.pop_batch().is_none());
     }
 
     #[test]

@@ -15,14 +15,18 @@ use std::sync::{Condvar, Mutex, PoisonError};
 
 /// What a drain left behind.
 ///
-/// For the single-process [`crate::engine::Engine`] the counts are
-/// **drain-scoped**: only jobs that were queued or running when the
-/// drain began are counted, so an operator reading the report sees what
-/// the shutdown itself did, not the process's lifetime history. The
-/// cluster coordinator keeps **lifetime** totals instead — its report
-/// doubles as the final accounting for jobs retried across worker
-/// deaths, where "what was in flight at drain time" is not well defined
-/// per worker.
+/// Both backends compute it from the same terminal counters of the
+/// shared job lifecycle ([`crate::coord::Coordinator`]): lifetime
+/// totals, and the totals at the moment the drain began — never by
+/// scanning the job table, which retires terminal jobs. For the
+/// single-process [`crate::engine::Engine`] the counts are
+/// **drain-scoped** (the difference): only jobs that were queued or
+/// running when the drain began are counted, so an operator reading the
+/// report sees what the shutdown itself did, not the process's lifetime
+/// history. The cluster coordinator reports the **lifetime** totals
+/// instead — its report doubles as the final accounting for jobs retried
+/// across worker deaths, where "what was in flight at drain time" is not
+/// well defined per worker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DrainReport {
     /// Jobs that executed to a record during the drain (engine) or over

@@ -22,7 +22,8 @@
 //!   partitions, reorder — so **the failing seed is the reproduction**;
 //! * the coordinator *is production's*: the model drives the same
 //!   sans-IO state machine ([`sdvbs_serve::coord::Coordinator`]) that the
-//!   cluster coordinator runs from its threads — not a mirror of it — and
+//!   cluster coordinator and the single-process engine run from their
+//!   threads — not a mirror of it — and
 //!   every message round-trips the real [`sdvbs_wire`] frame codec.
 //!
 //! [`harness::run_sim`] executes one seed and checks the five invariants

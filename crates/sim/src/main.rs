@@ -20,7 +20,7 @@ fn main() {
         Some("explore") => cmd_explore(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("--help" | "-h") | None => {
-            print!("{USAGE}");
+            print_out(USAGE);
             0
         }
         Some(other) => {
@@ -29,6 +29,18 @@ fn main() {
         }
     };
     std::process::exit(code);
+}
+
+/// Writes `text` through a locked stdout. A reader that closed the pipe
+/// early (`… --verbose | head -1`) already has what it wanted, so a
+/// broken pipe is not an error.
+fn print_out(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("writing to stdout: {e}");
+        }
+    }
 }
 
 const USAGE: &str = "\
@@ -169,6 +181,7 @@ fn cmd_explore(args: &[String]) -> i32 {
         .iter()
         .filter(|r| !r.violations.is_empty())
         .count();
+    let mut text = String::new();
     if opts.verbose {
         for r in &report.results {
             let mark = if r.violations.is_empty() {
@@ -176,22 +189,23 @@ fn cmd_explore(args: &[String]) -> i32 {
             } else {
                 "FAIL"
             };
-            println!(
-                "{mark} seed {:>4}  digest {:016x}  sim {:.1}s",
+            text += &format!(
+                "{mark} seed {:>4}  digest {:016x}  sim {:.1}s\n",
                 r.seed,
                 r.digest,
                 r.end_us as f64 / 1e6
             );
         }
     }
-    println!(
+    text += &format!(
         "explored seeds {from}..{to} (faults: {}): {} runs, {:.1} simulated seconds \
-         in {:.2}s wall, {failures} failing",
+         in {:.2}s wall, {failures} failing\n",
         opts.faults,
         report.results.len(),
         report.total_sim_us as f64 / 1e6,
         wall.elapsed().as_secs_f64(),
     );
+    print_out(&text);
     if let Some((seed, violations)) = &report.first_failure {
         eprintln!("first failing seed: {seed}");
         for v in violations {
@@ -216,22 +230,24 @@ fn cmd_replay(args: &[String]) -> i32 {
     };
     let seed = opts.seeds.0;
     let outcome = run_sim(&config(&opts, seed));
-    println!("{}", describe(&outcome));
+    let mut text = format!("{}\n", describe(&outcome));
     if !outcome.schedule.crashes.is_empty()
         || !outcome.schedule.stalls.is_empty()
         || !outcome.schedule.partitions.is_empty()
     {
-        println!("fault schedule: {:?}", outcome.schedule);
+        text += &format!("fault schedule: {:?}\n", outcome.schedule);
     }
     if let Some(path) = &opts.trace {
         match write_trace(path, &outcome) {
-            Ok(lines) => println!("wrote {lines} event-log lines to {path}"),
+            Ok(lines) => text += &format!("wrote {lines} event-log lines to {path}\n"),
             Err(e) => {
+                print_out(&text);
                 eprintln!("writing {path}: {e}");
                 return 2;
             }
         }
     }
+    print_out(&text);
     if !outcome.violations.is_empty() {
         eprintln!("seed {seed} violates invariants:");
         for v in &outcome.violations {

@@ -1,9 +1,14 @@
 //! The deterministic model of the coordinator/worker cluster.
 //!
 //! The coordinator here *is* production's: every admission, dispatch,
-//! reply, death and drain goes through the same sans-IO
-//! [`Coordinator`] state machine that [`sdvbs_serve::cluster`] drives
-//! from its threads, so the model cannot drift from the code it tests.
+//! reply, death, retirement and drain goes through the same sans-IO
+//! [`Coordinator`] state machine that [`sdvbs_serve::cluster`] and the
+//! single-process engine drive from their threads, so the model cannot
+//! drift from the code it tests. Retirement ages against the virtual
+//! clock with the production TTL
+//! ([`DEFAULT_RETIRE_TTL`](sdvbs_serve::coord::DEFAULT_RETIRE_TTL)), longer than
+//! any default run, so every admitted job stays in the table for the
+//! invariant checks.
 //! Two more things are shared with production outright:
 //!
 //! * **every message** is a real [`sdvbs_wire::Message`], round-tripped
@@ -30,6 +35,7 @@ use sdvbs_exec::ClockHandle;
 use sdvbs_runner::{policy_label, size_label, HostMeta, Job, RunRecord, RunStatus};
 pub use sdvbs_serve::coord::JobState;
 use sdvbs_serve::coord::{is_stale, Coordinator, OrphanDisposition, Step};
+use sdvbs_serve::engine::group_key;
 use sdvbs_serve::{spec_digest, ClusterConfig, JobClass, Submission};
 use sdvbs_wire::{decode_frame, encode_frame, Message};
 use std::collections::{BTreeMap, VecDeque};
@@ -40,7 +46,8 @@ use std::time::Duration;
 pub struct ModelConfig {
     /// Worker process count.
     pub workers: usize,
-    /// Coordinator admission bound (outstanding jobs).
+    /// Coordinator admission bound: jobs waiting in the scheduler, not yet
+    /// taken into the dispatch window.
     pub queue_capacity: usize,
     /// Per-worker in-flight cap before the dispatcher steals.
     pub per_worker_inflight: usize,
@@ -291,8 +298,7 @@ impl SimModel {
     pub fn jobs(&self) -> Vec<SimJob> {
         self.coord
             .jobs()
-            .iter()
-            .zip(&self.job_audits)
+            .map(|(id, job)| (job, &self.job_audits[id as usize]))
             .map(|(job, audit)| SimJob {
                 state: job.state.clone(),
                 attempts: job.attempts,
@@ -398,7 +404,12 @@ impl SimModel {
     fn on_submit(&mut self, now: u64, i: usize) {
         let spec = self.planned[i].clone();
         let digest = spec_digest(&spec);
-        let why = match self.coord.admit(spec, digest, JobClass::Interactive, true) {
+        let group = group_key(&spec);
+        self.coord.retire_expired(self.clock.now());
+        let admitted = self
+            .coord
+            .admit(spec, &group, JobClass::Interactive, Some(digest), true);
+        let why = match admitted {
             Submission::Queued(id) => {
                 self.job_audits.push(JobAudit::default());
                 self.note(now, format!("submit id={id} digest={digest:#018x}"));
@@ -422,7 +433,7 @@ impl SimModel {
                 Step::Dispatch {
                     id,
                     worker,
-                    spec,
+                    payload: spec,
                     attempt,
                     stolen,
                 } => {
@@ -521,7 +532,7 @@ impl SimModel {
     /// is counted exactly.
     fn count_terminal(&mut self, now: u64, id: u64) {
         self.job_audits[id as usize].terminal_transitions += 1;
-        let line = match self.coord.jobs().get(id as usize).map(|job| &job.state) {
+        let line = match self.coord.job(id).map(|job| &job.state) {
             Some(JobState::Done(_)) => format!("done id={id}"),
             Some(JobState::Rejected(why)) => format!("rejected id={id}: {why}"),
             Some(JobState::Quarantined(why)) => format!("quarantined id={id}: {why}"),
@@ -603,7 +614,7 @@ impl SimModel {
                 // so a codec regression surfaces as a loud sim failure.
                 assert_eq!(
                     Some(spec_digest(&spec)),
-                    self.coord.jobs().get(id as usize).map(|job| job.digest),
+                    self.coord.job(id).and_then(|job| job.digest),
                     "spec mutated in transit"
                 );
             }
@@ -705,20 +716,17 @@ impl SimModel {
     /// nothing, but every field the wire schema and store care about is
     /// populated and survives the codec round trip.
     fn synthesize_record(&self, id: u64) -> RunRecord {
-        let job = self
-            .coord
-            .jobs()
-            .get(id as usize)
-            .expect("a dispatched job was admitted");
+        let job = self.coord.job(id).expect("a dispatched job was admitted");
+        let spec = &job.payload;
         let exec_ms = self.cfg.exec_min_us as f64 / 1e3;
         RunRecord {
             job_id: id,
-            benchmark: job.spec.benchmark.clone(),
-            size: size_label(job.spec.size),
-            policy: policy_label(job.spec.policy),
+            benchmark: spec.benchmark.clone(),
+            size: size_label(spec.size),
+            policy: policy_label(spec.policy),
             threads: 1,
-            seed: job.spec.seed,
-            iterations: job.spec.iterations,
+            seed: spec.seed,
+            iterations: spec.iterations,
             status: RunStatus::Completed,
             times_ms: vec![exec_ms],
             min_ms: exec_ms,
