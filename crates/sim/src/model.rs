@@ -6,9 +6,9 @@
 //! single-process engine drive from their threads, so the model cannot
 //! drift from the code it tests. Retirement ages against the virtual
 //! clock with the production TTL
-//! ([`DEFAULT_RETIRE_TTL`](sdvbs_serve::coord::DEFAULT_RETIRE_TTL)), longer than
-//! any default run, so every admitted job stays in the table for the
-//! invariant checks.
+//! ([`DEFAULT_RETIRE_TTL`](sdvbs_serve::coord::DEFAULT_RETIRE_TTL)),
+//! longer than any default run, so every admitted job stays in the
+//! table for the invariant checks.
 //! Two more things are shared with production outright:
 //!
 //! * **every message** is a real [`sdvbs_wire::Message`], round-tripped
